@@ -1,4 +1,4 @@
-// Data-plane fast path: indexed table lookups + the pipeline microflow
+// Data-plane fast path: indexed table lookups + the pipeline megaflow
 // cache vs. the pre-index linear-scan reference.
 //
 // Workload: a 4-table pipeline — exact routing, LPM routing, a
@@ -6,9 +6,9 @@
 // each loaded with ~1k entries, driven by a replayed mix of ~512 distinct
 // flows.  Three timed phases process the same packet sequence:
 //   scan      — every table forced through MatchEntryReference (the old
-//               linear scan), microflow cache off: the pre-change baseline,
-//   indexed   — hash/LPM indexes on, microflow cache off,
-//   flowcache — indexes + microflow cache (steady state: every flow seen
+//               linear scan), flow cache off: the pre-change baseline,
+//   indexed   — hash/LPM indexes on, flow cache off,
+//   flowcache — indexes + megaflow cache (steady state: every flow seen
 //               before).
 // Emits packets/sec per phase, the speedups, cache hit rate, and the
 // dataplane_* / table_lookup_* counters into BENCH_dataplane.json.
@@ -19,8 +19,8 @@
 // (every packet a fresh flow) and a cache-hit workload (one hot flow).
 // E15 rides here too: the heavy-tailed (CAIDA-like) megaflow scenario —
 // 1M+ concurrent flows through an LPM route + exact service pipeline,
-// where the 65536-entry exact-match microflow tier alone thrashes and the
-// wildcard megaflow tier (one entry per /22 x dport) absorbs the tail.
+// where one wildcard entry per /22 x dport absorbs the tail that would
+// thrash any 65536-entry exact-match cache.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -39,7 +39,6 @@
 #include "flexbpf/compile.h"
 #include "flexbpf/interp.h"
 #include "net/network.h"
-#include "net/shard.h"
 #include "net/topology.h"
 #include "net/traffic.h"
 #include "packet/batch.h"
@@ -201,9 +200,9 @@ void BuildForwardingTables(dataplane::Pipeline& pl,
 // One timed run: `packet_count` packets in bursts of `burst` through a
 // host-nic-3-switch-nic-host fabric whose switches carry the E12 table
 // set.  `batching` flips the transport path only; the injected stream is
-// identical.  unique_flows=true makes every packet a fresh microflow
-// (cache miss at every switch); false replays one hot flow (steady-state
-// cache hit).
+// identical.  unique_flows=true makes every packet a fresh flow (cache
+// miss at every switch); false replays one hot flow (steady-state cache
+// hit).
 NetRunResult TimedNetworkRun(bool batching, bool unique_flows,
                              std::size_t packet_count, std::size_t burst,
                              std::size_t entries,
@@ -337,20 +336,17 @@ void BuildMegaflowTables(dataplane::Pipeline& pl,
 
 struct HeavyTailResult {
   double pps = 0.0;
-  double micro_hit_rate = 0.0;      // micro hits / packets
-  double combined_hit_rate = 0.0;   // (micro + mega hits) / packets
+  double hit_rate = 0.0;  // megaflow hits / packets
   std::uint64_t distinct_flows = 0;
 };
 
 // Replays `packets` draws of the seeded heavy-tailed stream through a
-// fresh pipeline.  The identical seed in both phases means both caches see
-// the exact same packet sequence.
+// fresh pipeline.
 HeavyTailResult RunHeavyTail(const net::TrafficGenerator::HeavyTailConfig& cfg,
-                             std::size_t packets, bool megaflow_on,
-                             telemetry::MetricsRegistry* publish_to) {
+                             std::size_t packets,
+                             telemetry::MetricsRegistry& metrics) {
   dataplane::Pipeline pl;
   BuildMegaflowTables(pl, cfg);
-  pl.set_megaflow_enabled(megaflow_on);
   Rng rng(0x4ea7a11);
   std::unordered_set<std::uint64_t> distinct;
   distinct.reserve(std::min<std::size_t>(packets, cfg.flows) * 2);
@@ -368,20 +364,16 @@ HeavyTailResult RunHeavyTail(const net::TrafficGenerator::HeavyTailConfig& cfg,
   const double seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(end - begin)
           .count();
-  if (publish_to != nullptr) pl.PublishMetrics(*publish_to);
+  pl.PublishMetrics(metrics);
   HeavyTailResult r;
   r.pps = seconds > 0 ? static_cast<double>(packets) / seconds : 0.0;
-  const double n = static_cast<double>(packets);
-  r.micro_hit_rate = static_cast<double>(pl.flow_cache_hits()) / n;
-  r.combined_hit_rate =
-      static_cast<double>(pl.flow_cache_hits() + pl.megaflow_hits()) / n;
+  r.hit_rate = static_cast<double>(pl.megaflow_hits()) /
+               static_cast<double>(packets);
   r.distinct_flows = distinct.size();
-  if (publish_to != nullptr) {
-    publish_to->Set("bench.heavytail_megaflow_entries",
-                    static_cast<double>(pl.megaflow_size()));
-    publish_to->Set("bench.heavytail_megaflow_masks",
-                    static_cast<double>(pl.megaflow_mask_count()));
-  }
+  metrics.Set("bench.heavytail_megaflow_entries",
+              static_cast<double>(pl.megaflow_size()));
+  metrics.Set("bench.heavytail_megaflow_masks",
+              static_cast<double>(pl.megaflow_mask_count()));
   return r;
 }
 
@@ -394,34 +386,24 @@ void PrintMegaflowExperiment(telemetry::MetricsRegistry& metrics) {
   const std::size_t packets = smoke ? 20000 : 3000000;
 
   bench::PrintHeader(
-      "E15 (bench_dataplane): megaflow tier vs microflow thrash",
-      "on a heavy-tailed stream over >= 1M concurrent flows the exact-match "
-      "microflow tier alone thrashes (hit rate < 50%) while micro+megaflow "
-      "together sustain >= 90% cache hits");
+      "E15 (bench_dataplane): megaflow cache under heavy-tailed traffic",
+      "on a heavy-tailed stream over >= 1M concurrent flows the wildcard "
+      "megaflow cache sustains >= 90% cache hits");
 
-  const HeavyTailResult micro_only =
-      RunHeavyTail(cfg, packets, false, nullptr);
-  const HeavyTailResult combined = RunHeavyTail(cfg, packets, true, &metrics);
+  const HeavyTailResult r = RunHeavyTail(cfg, packets, metrics);
 
-  bench::PrintRow("%-22s %-14s %-14s %-14s", "tier_config", "pkts_per_sec",
+  bench::PrintRow("%-22s %-14s %-14s %-14s", "cache", "pkts_per_sec",
                   "hit_rate", "distinct_flows");
-  bench::PrintRow("%-22s %-14.0f %-14.3f %-14llu", "micro_only",
-                  micro_only.pps, micro_only.combined_hit_rate,
-                  static_cast<unsigned long long>(micro_only.distinct_flows));
-  bench::PrintRow("%-22s %-14.0f %-14.3f %-14llu", "micro+megaflow",
-                  combined.pps, combined.combined_hit_rate,
-                  static_cast<unsigned long long>(combined.distinct_flows));
+  bench::PrintRow("%-22s %-14.0f %-14.3f %-14llu", "megaflow", r.pps,
+                  r.hit_rate,
+                  static_cast<unsigned long long>(r.distinct_flows));
 
   metrics.Set("bench.heavytail_flows", static_cast<double>(cfg.flows));
   metrics.Set("bench.heavytail_packets", static_cast<double>(packets));
   metrics.Set("bench.heavytail_distinct_flows",
-              static_cast<double>(combined.distinct_flows));
-  metrics.Set("bench.heavytail_pps_micro_only", micro_only.pps);
-  metrics.Set("bench.heavytail_pps_combined", combined.pps);
-  metrics.Set("bench.heavytail_hit_rate_micro_only",
-              micro_only.combined_hit_rate);
-  metrics.Set("bench.heavytail_hit_rate_combined",
-              combined.combined_hit_rate);
+              static_cast<double>(r.distinct_flows));
+  metrics.Set("bench.heavytail_pps_megaflow", r.pps);
+  metrics.Set("bench.heavytail_hit_rate_megaflow", r.hit_rate);
 }
 
 // --- E16: postcard telemetry — per-tier latency + sampling overhead ------
@@ -486,16 +468,16 @@ void PrintPostcardExperiment(telemetry::MetricsRegistry& metrics) {
   const bool smoke = bench::SmokeMode();
 
   bench::PrintHeader(
-      "E16 (bench_dataplane): sampled postcards through the tiered cache",
-      "per-packet postcards attribute wall-clock latency to the cache tier "
-      "that answered (slow path well above the cached tiers at p50) and "
+      "E16 (bench_dataplane): sampled postcards through the flow cache",
+      "per-packet postcards attribute wall-clock latency to whether the "
+      "cache answered (slow path well above megaflow hits at p50) and "
       "cost < 10% end-to-end pps with sampling disabled, < 25% at 1-in-64");
 
   // Phase A: per-tier latency on the standalone heavy-tailed pipeline
   // (the E15 workload).  Sim-time latency is tier-blind by design — the
   // arch latency model charges per table traversed, and cached replays
   // bill the same traversal count — so the tier breakdown measures what
-  // the tiers actually change: wall-clock processing cost.  A 1-in-64
+  // the cache actually changes: wall-clock processing cost.  A 1-in-64
   // recorder runs during measurement so the numbers include sampling.
   net::TrafficGenerator::HeavyTailConfig cfg;
   cfg.flows = smoke ? (1 << 15) : 1310720;
@@ -510,7 +492,7 @@ void PrintPostcardExperiment(telemetry::MetricsRegistry& metrics) {
                                           /*capacity=*/16384,
                                           /*seed=*/0x705c0a8dULL});
   Rng rng(0x4ea7a11);
-  PercentileTracker lat_slow, lat_micro, lat_mega;
+  PercentileTracker lat_slow, lat_mega;
   for (std::size_t i = 0; i < packets; ++i) {
     const net::FlowSpec flow = net::TrafficGenerator::HeavyTailFlow(cfg, rng);
     packet::Packet p = packet::MakeTcpPacket(
@@ -525,13 +507,7 @@ void PrintPostcardExperiment(telemetry::MetricsRegistry& metrics) {
     const auto t1 = std::chrono::steady_clock::now();
     const double ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           t1 - t0).count();
-    if (result.flow_cache_hit) {
-      lat_micro.Add(ns);
-    } else if (result.megaflow_hit) {
-      lat_mega.Add(ns);
-    } else {
-      lat_slow.Add(ns);
-    }
+    (result.megaflow_hit ? lat_mega : lat_slow).Add(ns);
     if (p.postcard_id != 0) {
       // Standalone pipeline, so the bench plays the transport's role:
       // one hop, fate delivered-or-dropped.
@@ -540,9 +516,8 @@ void PrintPostcardExperiment(telemetry::MetricsRegistry& metrics) {
       hop.program_version = 1;
       hop.at = static_cast<SimTime>(i);
       hop.latency_ns = static_cast<SimDuration>(ns);
-      hop.tier = result.flow_cache_hit ? telemetry::CacheTier::kMicro
-                 : result.megaflow_hit ? telemetry::CacheTier::kMega
-                                       : telemetry::CacheTier::kSlowPath;
+      hop.tier = result.megaflow_hit ? telemetry::CacheTier::kMega
+                                     : telemetry::CacheTier::kSlowPath;
       hop.tables_consulted =
           static_cast<std::uint32_t>(result.tables_traversed);
       hop.batch_size = 1;
@@ -562,9 +537,6 @@ void PrintPostcardExperiment(telemetry::MetricsRegistry& metrics) {
   bench::PrintRow("%-22s %-10llu %-12.0f %-12.0f", "slow_path",
                   static_cast<unsigned long long>(lat_slow.total()),
                   lat_slow.Percentile(50.0), lat_slow.Percentile(99.0));
-  bench::PrintRow("%-22s %-10llu %-12.0f %-12.0f", "microflow",
-                  static_cast<unsigned long long>(lat_micro.total()),
-                  lat_micro.Percentile(50.0), lat_micro.Percentile(99.0));
   bench::PrintRow("%-22s %-10llu %-12.0f %-12.0f", "megaflow",
                   static_cast<unsigned long long>(lat_mega.total()),
                   lat_mega.Percentile(50.0), lat_mega.Percentile(99.0));
@@ -574,14 +546,10 @@ void PrintPostcardExperiment(telemetry::MetricsRegistry& metrics) {
 
   metrics.Set("bench.postcard_tier_slow_p50_ns", lat_slow.Percentile(50.0));
   metrics.Set("bench.postcard_tier_slow_p99_ns", lat_slow.Percentile(99.0));
-  metrics.Set("bench.postcard_tier_micro_p50_ns", lat_micro.Percentile(50.0));
-  metrics.Set("bench.postcard_tier_micro_p99_ns", lat_micro.Percentile(99.0));
   metrics.Set("bench.postcard_tier_mega_p50_ns", lat_mega.Percentile(50.0));
   metrics.Set("bench.postcard_tier_mega_p99_ns", lat_mega.Percentile(99.0));
   metrics.Set("bench.postcard_tier_slow_count",
               static_cast<double>(lat_slow.total()));
-  metrics.Set("bench.postcard_tier_micro_count",
-              static_cast<double>(lat_micro.total()));
   metrics.Set("bench.postcard_tier_mega_count",
               static_cast<double>(lat_mega.total()));
 
@@ -640,124 +608,6 @@ void PrintPostcardExperiment(telemetry::MetricsRegistry& metrics) {
   metrics.Set("bench.postcard_overhead_disabled", ratio_disabled);
   metrics.Set("bench.postcard_overhead_sampled", ratio_sampled);
   metrics.Set("bench.postcard_sample_every_n", 64.0);
-}
-
-// --- E17: sharded multi-worker data plane scaling -------------------------
-
-struct ShardScalingResult {
-  double modeled_pps = 0.0;        // delivered / makespan (max worker busy)
-  double efficiency = 0.0;         // total busy / (workers * max busy)
-  std::uint64_t delivered = 0;
-  std::uint64_t max_busy_ns = 0;
-  std::uint64_t ring_stalls = 0;
-  std::uint64_t ring_occupancy_hwm = 0;
-};
-
-// The E15 heavy-tailed flow population through the E14 fabric, steered
-// across `workers` flow-affine workers.  Throughput is *modeled*: each
-// worker's busy_ns is the service time it executed (sum of per-hop modeled
-// latencies), the plane's makespan is the slowest worker, and modeled pps
-// at N workers = delivered / makespan.  That makes the scaling number a
-// property of the shard balance and the per-flow affinity — measurable on
-// any host, including single-core CI — rather than of thread scheduling.
-ShardScalingResult ShardScalingRun(std::size_t workers,
-                                   std::size_t packet_count, std::size_t burst,
-                                   std::size_t entries,
-                                   telemetry::MetricsRegistry* publish_to) {
-  sim::Simulator sim;
-  net::Network network(&sim);
-  const net::LinearTopology topo = net::BuildLinear(network, 3);
-  for (const DeviceId sw : topo.switches) {
-    BuildForwardingTables(network.Find(sw)->device().pipeline(), entries);
-  }
-  net::ShardingConfig sharding;
-  sharding.workers = workers;
-  network.ConfigureSharding(sharding);
-
-  net::TrafficGenerator::HeavyTailConfig cfg;
-  cfg.flows = 1 << 15;
-  cfg.elephants = 1024;
-  Rng rng(0x5a2dce11);
-  const std::size_t rounds = packet_count / burst;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    sim.Schedule(static_cast<SimDuration>(r + 1) * kMicrosecond,
-                 [&network, &topo, &rng, &cfg, r, burst]() {
-      packet::PacketBatch batch = network.AcquireBatch();
-      for (std::size_t i = 0; i < burst; ++i) {
-        const net::FlowSpec flow =
-            net::TrafficGenerator::HeavyTailFlow(cfg, rng);
-        batch.Push(packet::MakeTcpPacket(
-            r * burst + i + 1,
-            packet::Ipv4Spec{flow.src_ip, topo.server.address},
-            packet::TcpSpec{flow.src_port, 2000}));
-      }
-      network.InjectBatch(topo.client.host, std::move(batch));
-    });
-  }
-  sim.Run();
-  network.FlushShards();
-
-  const net::ShardedDataPlane& plane = *network.sharded();
-  ShardScalingResult result;
-  result.delivered = network.stats().delivered;
-  result.max_busy_ns = plane.MaxBusyNs();
-  result.ring_stalls = plane.TotalRingStalls();
-  result.ring_occupancy_hwm = plane.MaxRingOccupancyHwm();
-  if (result.max_busy_ns > 0) {
-    result.modeled_pps = static_cast<double>(result.delivered) /
-                         (static_cast<double>(result.max_busy_ns) * 1e-9);
-    result.efficiency =
-        static_cast<double>(plane.TotalBusyNs()) /
-        (static_cast<double>(workers) *
-         static_cast<double>(result.max_busy_ns));
-  }
-  if (publish_to != nullptr) plane.PublishMetrics(*publish_to);
-  return result;
-}
-
-void PrintShardExperiment(telemetry::MetricsRegistry& metrics) {
-  const bool smoke = bench::SmokeMode();
-  const std::size_t packets = smoke ? 8192 : 131072;
-  const std::size_t entries = smoke ? 64 : 1024;
-  const std::size_t burst = 32;
-
-  bench::PrintHeader(
-      "E17 (bench_dataplane): flow-sharded worker scaling",
-      "RSS-steering the E15 heavy-tailed workload across flow-affine "
-      "workers lifts modeled pkts/sec (delivered / slowest-worker busy "
-      "time) >= 2.5x at 4 workers vs 1, with scaling efficiency and ring "
-      "stall counters recorded per worker count");
-
-  bench::PrintRow("%-10s %-16s %-10s %-12s %-12s %-12s", "workers",
-                  "modeled_pps", "speedup", "efficiency", "ring_stalls",
-                  "ring_hwm");
-  double pps_w1 = 0.0;
-  double speedup_w4 = 0.0;
-  for (const std::size_t workers : {1UL, 2UL, 4UL, 8UL}) {
-    // The 4-worker run publishes the plane's dataplane_shard_* fields —
-    // the configuration the acceptance gate reads.
-    const ShardScalingResult r = ShardScalingRun(
-        workers, packets, burst, entries, workers == 4 ? &metrics : nullptr);
-    if (workers == 1) pps_w1 = r.modeled_pps;
-    const double speedup = pps_w1 > 0 ? r.modeled_pps / pps_w1 : 0.0;
-    if (workers == 4) speedup_w4 = speedup;
-    bench::PrintRow("%-10zu %-16.0f %-10.2f %-12.3f %-12llu %-12llu",
-                    workers, r.modeled_pps, speedup, r.efficiency,
-                    static_cast<unsigned long long>(r.ring_stalls),
-                    static_cast<unsigned long long>(r.ring_occupancy_hwm));
-    const std::string suffix = "_w" + std::to_string(workers);
-    metrics.Set("bench.shard_modeled_pps" + suffix, r.modeled_pps);
-    metrics.Set("bench.shard_speedup" + suffix, speedup);
-    metrics.Set("bench.shard_efficiency" + suffix, r.efficiency);
-    metrics.Set("bench.shard_ring_stalls" + suffix,
-                static_cast<double>(r.ring_stalls));
-    metrics.Set("bench.shard_ring_occupancy_hwm" + suffix,
-                static_cast<double>(r.ring_occupancy_hwm));
-    metrics.Set("bench.shard_delivered" + suffix,
-                static_cast<double>(r.delivered));
-  }
-  metrics.Set("bench.shard_packets", static_cast<double>(packets));
-  metrics.Set("bench.shard_speedup_4v1", speedup_w4);
 }
 
 // --- E18: FlexBPF threaded-code execution ---------------------------------
@@ -959,8 +809,8 @@ void PrintExperiment() {
   const std::size_t packets = smoke ? 2000 : 200000;
 
   bench::PrintHeader(
-      "E12 (bench_dataplane): indexed lookup + microflow cache",
-      "per-table match indexes and the pipeline microflow cache lift "
+      "E12 (bench_dataplane): indexed lookup + megaflow cache",
+      "per-table match indexes and the pipeline megaflow cache lift "
       "packets/sec >= 5x over the linear-scan reference on 4 tables x " +
           std::to_string(entries) + " entries");
 
@@ -976,16 +826,16 @@ void PrintExperiment() {
   w.pipeline.ForceReferenceScan(false);
   const double pps_indexed = TimedRun(w);
 
-  // Phase 3: indexes + microflow cache, warmed by the first pass over
+  // Phase 3: indexes + megaflow cache, warmed by the first pass over
   // each flow.
   w.pipeline.set_flow_cache_enabled(true);
   const double pps_cached = TimedRun(w);
 
   const double cache_lookups = static_cast<double>(
-      w.pipeline.flow_cache_hits() + w.pipeline.flow_cache_misses());
+      w.pipeline.megaflow_hits() + w.pipeline.megaflow_misses());
   const double hit_rate =
       cache_lookups > 0
-          ? static_cast<double>(w.pipeline.flow_cache_hits()) / cache_lookups
+          ? static_cast<double>(w.pipeline.megaflow_hits()) / cache_lookups
           : 0.0;
   const double speedup_indexed = pps_scan > 0 ? pps_indexed / pps_scan : 0.0;
   const double speedup_cached = pps_scan > 0 ? pps_cached / pps_scan : 0.0;
@@ -1015,7 +865,6 @@ void PrintExperiment() {
   PrintBatchExperiment(metrics);
   PrintMegaflowExperiment(metrics);
   PrintPostcardExperiment(metrics);
-  PrintShardExperiment(metrics);
   PrintFlexbpfExperiment(metrics);
   run.Finish();
 }

@@ -59,8 +59,7 @@ ProcessOutcome Device::ProcessPacket(packet::Packet& p, SimTime now) {
 }
 
 void Device::ProcessPacketBatch(std::span<packet::Packet> pkts, SimTime now,
-                                std::span<ProcessOutcome> outcomes,
-                                std::size_t shard) {
+                                std::span<ProcessOutcome> outcomes) {
   packets_ += pkts.size();
   if (!online_) {
     for (std::size_t i = 0; i < pkts.size(); ++i) {
@@ -76,7 +75,7 @@ void Device::ProcessPacketBatch(std::span<packet::Packet> pkts, SimTime now,
   // is indistinguishable from the scalar interleaving.
   for (packet::Packet& p : pkts) p.RecordHop(id_, program_version_, now);
   batch_results_.assign(pkts.size(), dataplane::PipelineResult{});
-  pipeline_.ProcessBatch(pkts, now, batch_results_, shard);
+  pipeline_.ProcessBatch(pkts, now, batch_results_);
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     ProcessOutcome& out = outcomes[i];
     out = ProcessOutcome{};

@@ -105,11 +105,8 @@ class Device {
   // modeled latency/energy identical to calling ProcessPacket on each
   // member in order (the pipeline runs member-major); the burst amortizes
   // per-packet setup.  `outcomes` must have at least pkts.size() slots.
-  // `shard` selects the pipeline cache partition (sharded data plane);
-  // 0 is the scalar path's single default partition.
   void ProcessPacketBatch(std::span<packet::Packet> pkts, SimTime now,
-                          std::span<ProcessOutcome> outcomes,
-                          std::size_t shard = 0);
+                          std::span<ProcessOutcome> outcomes);
 
   std::uint64_t program_version() const noexcept { return program_version_; }
   void BumpProgramVersion() noexcept { ++program_version_; }

@@ -58,14 +58,6 @@ void PercentileTracker::Add(double x) {
   }
 }
 
-void PercentileTracker::MergeFrom(const PercentileTracker& other) {
-  // Adjust total_ so it counts the merged population, not replayed Adds:
-  // Add() below bumps total_ once per held sample, and the samples the
-  // other reservoir already shed are accounted for afterwards.
-  for (const double x : other.samples_) Add(x);
-  total_ += other.total_ - static_cast<std::uint64_t>(other.samples_.size());
-}
-
 double PercentileTracker::Percentile(double p) const {
   if (samples_.empty()) return 0.0;
   if (!sorted_) {

@@ -47,11 +47,6 @@ class PercentileTracker {
   explicit PercentileTracker(std::size_t max_samples);
 
   void Add(double x);
-  // Folds another tracker's sample set into this one (per-worker reservoirs
-  // merged at publish time).  Exact while the combined population fits the
-  // cap; past it, the other tracker's held samples re-enter the reservoir
-  // one by one — an approximation, like any reservoir under overflow.
-  void MergeFrom(const PercentileTracker& other);
   // Samples held (<= max cap); total() is every Add() ever seen.
   std::size_t count() const noexcept { return samples_.size(); }
   std::uint64_t total() const noexcept { return total_; }

@@ -42,7 +42,7 @@ class ParseGraph {
   ParseGraph();
   // Copying transfers the graph's content but NOT its invalidation binding:
   // the destination keeps (and bumps) its own cell, so installing a new
-  // graph into a Pipeline invalidates that pipeline's microflow cache.
+  // graph into a Pipeline invalidates that pipeline's flow cache.
   ParseGraph(const ParseGraph& other);
   ParseGraph& operator=(const ParseGraph& other);
 
@@ -85,7 +85,7 @@ class ParseGraph {
   std::vector<std::string> StateNames() const;
 
   // The owning Pipeline points this at its epoch counter so parser
-  // mutations invalidate memoized parse verdicts in the microflow cache.
+  // mutations invalidate memoized parse verdicts in the flow cache.
   void BindInvalidation(std::uint64_t* epoch_cell) noexcept {
     epoch_cell_ = epoch_cell;
   }

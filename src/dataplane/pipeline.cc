@@ -28,6 +28,17 @@ std::uint64_t Mix(std::uint64_t h, std::uint64_t v) noexcept {
   return h ^ (h >> 33);
 }
 
+std::uint64_t MegaKey(std::uint32_t mask_index, std::uint64_t structure_sig,
+                      const auto& values) {
+  std::uint64_t h = Mix(0xa5b35705f4a7c159ULL, mask_index + 1);
+  h = Mix(h, structure_sig);
+  for (const auto& v : values) {
+    h = Mix(h, v.present ? 1 : 2);
+    h = Mix(h, v.value);
+  }
+  return h;
+}
+
 // Appends (full-mask) the packet fields an action *reads while writing
 // packet content*.  Replay re-executes actions against the live packet, so
 // reads that feed packet writes must be part of the megaflow key: two
@@ -54,97 +65,7 @@ void AppendActionReads(const Action& action,
 
 }  // namespace
 
-Pipeline::Pipeline() {
-  parser_.BindInvalidation(&epoch_);
-  parts_.push_back(MakePartition());
-}
-
-std::unique_ptr<Pipeline::CachePartition> Pipeline::MakePartition() const {
-  auto part = std::make_unique<CachePartition>();
-  part->micro.cap = micro_cap_;
-  part->mega.cap = mega_cap_;
-  return part;
-}
-
-void Pipeline::set_cache_partitions(std::size_t n) {
-  n = std::max<std::size_t>(1, n);
-  // Fold the outgoing partitions' counters into the retired accumulator so
-  // published totals are monotone across rebuilds; live entries discarded
-  // here are honest evictions (the flows must re-resolve).
-  for (const auto& part : parts_) {
-    retired_micro_.hits += part->micro.hits;
-    retired_micro_.misses += part->micro.misses;
-    retired_micro_.evictions +=
-        part->micro.evictions + part->flow_cache.size();
-    retired_micro_.stale_reclaimed += part->micro.stale_reclaimed;
-    retired_mega_.hits += part->mega.hits;
-    retired_mega_.misses += part->mega.misses;
-    retired_mega_.evictions +=
-        part->mega.evictions + part->megaflow_cache.size();
-    retired_mega_.stale_reclaimed += part->mega.stale_reclaimed;
-  }
-  parts_.clear();
-  parts_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) parts_.push_back(MakePartition());
-}
-
-// --- Summed counter getters ----------------------------------------------
-
-std::uint64_t Pipeline::flow_cache_hits() const noexcept {
-  std::uint64_t v = retired_micro_.hits;
-  for (const auto& p : parts_) v += p->micro.hits;
-  return v;
-}
-std::uint64_t Pipeline::flow_cache_misses() const noexcept {
-  std::uint64_t v = retired_micro_.misses;
-  for (const auto& p : parts_) v += p->micro.misses;
-  return v;
-}
-std::uint64_t Pipeline::flow_cache_evictions() const noexcept {
-  std::uint64_t v = retired_micro_.evictions;
-  for (const auto& p : parts_) v += p->micro.evictions;
-  return v;
-}
-std::uint64_t Pipeline::flow_cache_stale_reclaimed() const noexcept {
-  std::uint64_t v = retired_micro_.stale_reclaimed;
-  for (const auto& p : parts_) v += p->micro.stale_reclaimed;
-  return v;
-}
-std::size_t Pipeline::flow_cache_size() const noexcept {
-  std::size_t v = 0;
-  for (const auto& p : parts_) v += p->flow_cache.size();
-  return v;
-}
-std::uint64_t Pipeline::megaflow_hits() const noexcept {
-  std::uint64_t v = retired_mega_.hits;
-  for (const auto& p : parts_) v += p->mega.hits;
-  return v;
-}
-std::uint64_t Pipeline::megaflow_misses() const noexcept {
-  std::uint64_t v = retired_mega_.misses;
-  for (const auto& p : parts_) v += p->mega.misses;
-  return v;
-}
-std::uint64_t Pipeline::megaflow_evictions() const noexcept {
-  std::uint64_t v = retired_mega_.evictions;
-  for (const auto& p : parts_) v += p->mega.evictions;
-  return v;
-}
-std::uint64_t Pipeline::megaflow_stale_reclaimed() const noexcept {
-  std::uint64_t v = retired_mega_.stale_reclaimed;
-  for (const auto& p : parts_) v += p->mega.stale_reclaimed;
-  return v;
-}
-std::size_t Pipeline::megaflow_size() const noexcept {
-  std::size_t v = 0;
-  for (const auto& p : parts_) v += p->megaflow_cache.size();
-  return v;
-}
-std::size_t Pipeline::megaflow_mask_count() const noexcept {
-  std::size_t v = 0;
-  for (const auto& p : parts_) v += p->mega_masks.size();
-  return v;
-}
+Pipeline::Pipeline() { parser_.BindInvalidation(&epoch_); }
 
 Result<MatchActionTable*> Pipeline::AddTable(std::string name,
                                              std::vector<KeySpec> key,
@@ -222,28 +143,21 @@ void Pipeline::ForceReferenceScan(bool force) noexcept {
   BumpEpoch();  // cached steps memoized the other path's accounting
 }
 
-// --- Tier plumbing --------------------------------------------------------
+// --- Cache plumbing -------------------------------------------------------
 
-template <typename Map, typename OnErase>
-typename Map::iterator Pipeline::TierErase(CachePartition& part,
-                                           CacheTier& tier, Map& map,
-                                           typename Map::iterator it,
-                                           OnErase&& on_erase) {
-  tier.free_slots.push_back(it->second.slot);
-  on_erase(it->second);
-  ++part.cache_generation;  // orphan any batch-memo pointer at this entry
-  return map.erase(it);
+Pipeline::CacheMap::iterator Pipeline::Erase(CacheMap::iterator it) {
+  free_slots_.push_back(it->second.slot);
+  --masks_[it->second.mask_index].live;
+  return cache_.erase(it);
 }
 
-template <typename Map, typename OnErase>
-void Pipeline::TierEvictOne(CachePartition& part, CacheTier& tier, Map& map,
-                            OnErase&& on_erase) {
-  const std::size_t ring = tier.slot_keys.size();
+void Pipeline::EvictOne() {
+  const std::size_t ring = slot_keys_.size();
   for (std::size_t step = 0; step <= 2 * ring; ++step) {
-    if (tier.hand >= ring) tier.hand = 0;
-    const std::size_t slot = tier.hand++;
-    const auto it = map.find(tier.slot_keys[slot]);
-    if (it == map.end() || it->second.slot != slot) continue;  // freed slot
+    if (hand_ >= ring) hand_ = 0;
+    const std::size_t slot = hand_++;
+    const auto it = cache_.find(slot_keys_[slot]);
+    if (it == cache_.end() || it->second.slot != slot) continue;  // freed slot
     // Second chance for recently hit, current-epoch entries; the bound on
     // `step` guarantees the walk terminates with a victim.
     if (it->second.epoch == epoch_ && it->second.referenced &&
@@ -251,157 +165,38 @@ void Pipeline::TierEvictOne(CachePartition& part, CacheTier& tier, Map& map,
       it->second.referenced = false;
       continue;
     }
-    ++tier.evictions;
-    TierErase(part, tier, map, it, on_erase);
+    ++evictions_;
+    Erase(it);
     return;
   }
 }
 
-template <typename Map, typename OnErase>
-typename Map::mapped_type* Pipeline::TierInsert(
-    CachePartition& part, CacheTier& tier, Map& map, std::uint64_t key,
-    typename Map::mapped_type&& entry, OnErase&& on_erase) {
-  if (const auto it = map.find(key); it != map.end()) {
-    // Replacing (a rare hash collision): erase-then-insert keeps the ring
-    // and mask bookkeeping uniform.
-    TierErase(part, tier, map, it, on_erase);
-  }
-  // Under capacity pressure, reclaim dead-epoch entries before evicting
-  // live ones — at most one full sweep per epoch, so a reconfig never
-  // triggers a miss storm on refill.
-  if (map.size() >= tier.cap && tier.last_sweep_epoch != epoch_) {
-    tier.last_sweep_epoch = epoch_;
-    for (auto it = map.begin(); it != map.end();) {
-      if (it->second.epoch != epoch_) {
-        ++tier.stale_reclaimed;
-        it = TierErase(part, tier, map, it, on_erase);
-      } else {
-        ++it;
-      }
-    }
-  }
-  while (map.size() >= tier.cap && !map.empty()) {
-    TierEvictOne(part, tier, map, on_erase);
-  }
-  std::uint32_t slot;
-  if (!tier.free_slots.empty()) {
-    slot = tier.free_slots.back();
-    tier.free_slots.pop_back();
-    tier.slot_keys[slot] = key;
-  } else {
-    slot = static_cast<std::uint32_t>(tier.slot_keys.size());
-    tier.slot_keys.push_back(key);
-  }
-  entry.slot = slot;
-  entry.referenced = true;
-  const auto [it, inserted] = map.emplace(key, std::move(entry));
-  return &it->second;
-}
-
-template <typename Map>
-void Pipeline::TierClear(CachePartition& part, CacheTier& tier, Map& map,
-                         bool count_as_evictions) {
+void Pipeline::Clear(bool count_as_evictions) {
   if (count_as_evictions) {
-    tier.evictions += static_cast<std::uint64_t>(map.size());
+    evictions_ += static_cast<std::uint64_t>(cache_.size());
   }
-  if (!map.empty()) ++part.cache_generation;
-  map.clear();
-  tier.slot_keys.clear();
-  tier.free_slots.clear();
-  tier.hand = 0;
-}
-
-void Pipeline::ClearMicro(CachePartition& part, bool count_as_evictions) {
-  TierClear(part, part.micro, part.flow_cache, count_as_evictions);
-}
-
-void Pipeline::ClearMega(CachePartition& part, bool count_as_evictions) {
-  TierClear(part, part.mega, part.megaflow_cache, count_as_evictions);
-  part.mega_masks.clear();
+  cache_.clear();
+  masks_.clear();
+  slot_keys_.clear();
+  free_slots_.clear();
+  hand_ = 0;
 }
 
 void Pipeline::set_flow_cache_enabled(bool enabled) {
   flow_cache_enabled_ = enabled;
-  if (!enabled) {
-    for (auto& part : parts_) {
-      ClearMicro(*part, /*count_as_evictions=*/true);
-      ClearMega(*part, /*count_as_evictions=*/true);
-    }
-  }
-}
-
-void Pipeline::set_microflow_enabled(bool enabled) {
-  microflow_enabled_ = enabled;
-  if (!enabled) {
-    for (auto& part : parts_) ClearMicro(*part, /*count_as_evictions=*/true);
-  }
-}
-
-void Pipeline::set_megaflow_enabled(bool enabled) {
-  megaflow_enabled_ = enabled;
-  if (!enabled) {
-    for (auto& part : parts_) ClearMega(*part, /*count_as_evictions=*/true);
-  }
-}
-
-void Pipeline::set_flow_cache_cap(std::size_t cap) {
-  micro_cap_ = std::max<std::size_t>(1, cap);
-  for (auto& part : parts_) {
-    part->micro.cap = micro_cap_;
-    while (part->flow_cache.size() > part->micro.cap) {
-      TierEvictOne(*part, part->micro, part->flow_cache,
-                   [](const CachedFlow&) {});
-    }
-  }
+  if (!enabled) Clear(/*count_as_evictions=*/true);
 }
 
 void Pipeline::set_megaflow_cap(std::size_t cap) {
-  mega_cap_ = std::max<std::size_t>(1, cap);
-  for (auto& pp : parts_) {
-    CachePartition& part = *pp;
-    part.mega.cap = mega_cap_;
-    while (part.megaflow_cache.size() > part.mega.cap) {
-      TierEvictOne(part, part.mega, part.megaflow_cache,
-                   [&part](const MegaflowEntry& dead) {
-                     --part.mega_masks[dead.mask_index].live;
-                   });
-    }
-  }
+  cap_ = std::max<std::size_t>(1, cap);
+  while (cache_.size() > cap_) EvictOne();
 }
 
-// --- Microflow tier -------------------------------------------------------
-
-Pipeline::CachedFlow* Pipeline::MicroInsert(CachePartition& part,
-                                            std::uint64_t signature,
-                                            CachedFlow flow) {
-  return TierInsert(part, part.micro, part.flow_cache, signature,
-                    std::move(flow), [](const CachedFlow&) {});
-}
-
-// --- Megaflow tier --------------------------------------------------------
-
-namespace {
-std::uint64_t MegaKey(std::uint32_t mask_index, std::uint64_t structure_sig,
-                      const auto& values) {
-  std::uint64_t h = Mix(0xa5b35705f4a7c159ULL, mask_index + 1);
-  h = Mix(h, structure_sig);
-  for (const auto& v : values) {
-    h = Mix(h, v.present ? 1 : 2);
-    h = Mix(h, v.value);
-  }
-  return h;
-}
-}  // namespace
-
-Pipeline::MegaflowEntry* Pipeline::MegaProbe(CachePartition& part,
-                                             const packet::Packet& p,
-                                             std::uint64_t structure_sig) {
-  const auto on_erase = [&part](const MegaflowEntry& dead) {
-    --part.mega_masks[dead.mask_index].live;
-  };
-  for (std::uint32_t mi = 0;
-       mi < static_cast<std::uint32_t>(part.mega_masks.size()); ++mi) {
-    const MegaMask& m = part.mega_masks[mi];
+Pipeline::CachedFlow* Pipeline::Probe(const packet::Packet& p,
+                                      std::uint64_t structure_sig) {
+  for (std::uint32_t mi = 0; mi < static_cast<std::uint32_t>(masks_.size());
+       ++mi) {
+    const MegaMask& m = masks_[mi];
     if (m.live == 0) continue;
     probe_scratch_.clear();
     for (const ConsultedField& c : m.fields) {
@@ -409,13 +204,12 @@ Pipeline::MegaflowEntry* Pipeline::MegaProbe(CachePartition& part,
       probe_scratch_.push_back(
           MaskedValue{v.has_value(), v.has_value() ? (*v & c.mask) : 0});
     }
-    const std::uint64_t key = MegaKey(mi, structure_sig, probe_scratch_);
-    const auto it = part.megaflow_cache.find(key);
-    if (it == part.megaflow_cache.end()) continue;
-    MegaflowEntry& e = it->second;
+    const auto it = cache_.find(MegaKey(mi, structure_sig, probe_scratch_));
+    if (it == cache_.end()) continue;
+    CachedFlow& e = it->second;
     if (e.epoch != epoch_) {
-      ++part.mega.stale_reclaimed;
-      TierErase(part, part.mega, part.megaflow_cache, it, on_erase);
+      ++stale_reclaimed_;
+      Erase(it);
       continue;
     }
     // Hash collisions are rejected by full verification.
@@ -426,10 +220,7 @@ Pipeline::MegaflowEntry* Pipeline::MegaProbe(CachePartition& part,
   return nullptr;
 }
 
-Pipeline::MegaflowEntry* Pipeline::MegaInsert(CachePartition& part,
-                                              const packet::Packet& pristine,
-                                              std::uint64_t structure_sig,
-                                              const CachedFlow& flow) {
+void Pipeline::Install(const packet::Packet& pristine, CachedFlow flow) {
   // Canonicalize the consulted set: merge duplicate fields by OR-ing their
   // masks, preserving first-seen order so the shape is deterministic.
   mask_build_scratch_.clear();
@@ -447,57 +238,65 @@ Pipeline::MegaflowEntry* Pipeline::MegaInsert(CachePartition& part,
 
   // Find or create the wildcard shape (few shapes, linear search is fine —
   // this is the slow path).
-  std::uint32_t mask_index = static_cast<std::uint32_t>(part.mega_masks.size());
-  for (std::uint32_t i = 0;
-       i < static_cast<std::uint32_t>(part.mega_masks.size()); ++i) {
-    if (part.mega_masks[i].fields == mask_build_scratch_) {
+  std::uint32_t mask_index = static_cast<std::uint32_t>(masks_.size());
+  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(masks_.size());
+       ++i) {
+    if (masks_[i].fields == mask_build_scratch_) {
       mask_index = i;
       break;
     }
   }
-  if (mask_index == part.mega_masks.size()) {
-    if (part.mega_masks.size() >= kMaxMegaflowMasks) {
-      // Pathological shape churn: restart the tier rather than scan an
+  if (mask_index == masks_.size()) {
+    if (masks_.size() >= kMaxMegaflowMasks) {
+      // Pathological shape churn: restart the cache rather than scan an
       // unbounded mask list on every probe.
-      ClearMega(part, /*count_as_evictions=*/true);
+      Clear(/*count_as_evictions=*/true);
       mask_index = 0;
     }
-    part.mega_masks.push_back(MegaMask{mask_build_scratch_, 0});
+    masks_.push_back(MegaMask{mask_build_scratch_, 0});
   }
 
-  MegaflowEntry e;
-  static_cast<CachedFlow&>(e) = flow;
-  e.mask_index = mask_index;
-  e.structure_sig = structure_sig;
-  const MegaMask& shape = part.mega_masks[mask_index];
-  e.values.reserve(shape.fields.size());
-  for (const ConsultedField& c : shape.fields) {
+  flow.mask_index = mask_index;
+  flow.values.reserve(masks_[mask_index].fields.size());
+  for (const ConsultedField& c : masks_[mask_index].fields) {
     const auto v = pristine.GetField(c.ref);
-    e.values.push_back(
+    flow.values.push_back(
         MaskedValue{v.has_value(), v.has_value() ? (*v & c.mask) : 0});
   }
-  const std::uint64_t key = MegaKey(mask_index, structure_sig, e.values);
-  MegaflowEntry* inserted =
-      TierInsert(part, part.mega, part.megaflow_cache, key, std::move(e),
-                 [&part](const MegaflowEntry& dead) {
-                   --part.mega_masks[dead.mask_index].live;
-                 });
-  ++part.mega_masks[mask_index].live;
-  return inserted;
+  const std::uint64_t key = MegaKey(mask_index, flow.structure_sig, flow.values);
+
+  if (const auto it = cache_.find(key); it != cache_.end()) {
+    Erase(it);  // a rare hash collision: the newer flow replaces it
+  }
+  // Under capacity pressure, reclaim dead-epoch entries before evicting
+  // live ones — at most one full sweep per epoch, so a reconfig never
+  // triggers a miss storm on refill.
+  if (cache_.size() >= cap_ && last_sweep_epoch_ != epoch_) {
+    last_sweep_epoch_ = epoch_;
+    for (auto it = cache_.begin(); it != cache_.end();) {
+      if (it->second.epoch != epoch_) {
+        ++stale_reclaimed_;
+        it = Erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  while (cache_.size() >= cap_ && !cache_.empty()) EvictOne();
+  if (!free_slots_.empty()) {
+    flow.slot = free_slots_.back();
+    free_slots_.pop_back();
+    slot_keys_[flow.slot] = key;
+  } else {
+    flow.slot = static_cast<std::uint32_t>(slot_keys_.size());
+    slot_keys_.push_back(key);
+  }
+  flow.referenced = true;
+  cache_.emplace(key, std::move(flow));
+  ++masks_[mask_index].live;
 }
 
 // --- Lookup path ----------------------------------------------------------
-
-void Pipeline::MemoNote(CachePartition& part, BatchMemo* memo,
-                        std::uint64_t signature, CachedFlow* flow,
-                        MemoTier tier) {
-  if (memo == nullptr) return;
-  if (memo->generation != part.cache_generation) {
-    memo->entries.clear();
-    memo->generation = part.cache_generation;
-  }
-  memo->entries[signature] = MemoEntry{flow, tier};
-}
 
 PipelineResult Pipeline::ReplayCached(const CachedFlow& flow,
                                       packet::Packet& p, SimTime now,
@@ -529,56 +328,32 @@ PipelineResult Pipeline::ReplayCached(const CachedFlow& flow,
   return result;
 }
 
-PipelineResult Pipeline::ResolveAndCache(CachePartition& part,
-                                         packet::Packet& p, SimTime now,
+PipelineResult Pipeline::ResolveAndCache(packet::Packet& p, SimTime now,
                                          ActionExecutor& executor,
-                                         std::uint64_t signature,
-                                         BatchMemo* memo) {
-  const bool micro_on = MicroOn();
-  const bool mega_on = MegaOn();
+                                         std::uint64_t structure_sig) {
   PipelineResult result;
   CachedFlow flow;
   flow.epoch = epoch_;
+  flow.structure_sig = structure_sig;
 
-  // The megaflow recorder: everything this resolution consults (parser
-  // selects, table key columns with their masks, action operand reads),
-  // plus a pristine copy of the packet — key values must be read *before*
-  // actions mutate fields mid-pipeline.
+  // The key recorder: everything this resolution consults (parser selects,
+  // table key columns with their masks, action operand reads), plus a
+  // pristine copy of the packet — key values must be read *before* actions
+  // mutate fields mid-pipeline.
   consulted_scratch_.clear();
   parser_reads_scratch_.clear();
-  packet::Packet pristine;
-  std::uint64_t structure_sig = 0;
-  if (mega_on) {
-    pristine = p;
-    structure_sig = p.StructureSignature();
-  }
+  const packet::Packet pristine = p;
 
-  const ParseResult parsed =
-      parser_.Parse(p, mega_on ? &parser_reads_scratch_ : nullptr);
+  const ParseResult parsed = parser_.Parse(p, &parser_reads_scratch_);
   for (const packet::FieldRef& ref : parser_reads_scratch_) {
     consulted_scratch_.push_back(ConsultedField{ref, ~0ULL});
   }
-
-  const auto install_and_note = [&](const CachedFlow& resolved) {
-    CachedFlow* micro_entry =
-        micro_on ? MicroInsert(part, signature, resolved) : nullptr;
-    MegaflowEntry* mega_entry =
-        mega_on ? MegaInsert(part, pristine, structure_sig, resolved)
-                : nullptr;
-    if (micro_entry != nullptr) {
-      MemoNote(part, memo, signature, micro_entry, MemoTier::kMicro);
-    } else if (mega_entry != nullptr) {
-      MemoNote(part, memo, signature, mega_entry, MemoTier::kMega);
-    } else {
-      MemoNote(part, memo, signature, nullptr, MemoTier::kUncacheable);
-    }
-  };
 
   if (!parsed.accepted) {
     p.MarkDropped("parse_reject");
     result.dropped = true;
     flow.parse_reject = true;
-    install_and_note(flow);
+    Install(pristine, std::move(flow));
     return result;
   }
   flow.steps.reserve(tables_.size());
@@ -587,12 +362,12 @@ PipelineResult Pipeline::ResolveAndCache(CachePartition& part,
   for (auto& table : tables_) {
     ++result.tables_traversed;
     if (sampled) result.consulted_tables.push_back(table->name());
-    if (mega_on) table->AppendConsultedFields(consulted_scratch_);
+    table->AppendConsultedFields(consulted_scratch_);
     TableEntry* entry = table->LookupEntry(p);
     const Action& action =
         entry != nullptr ? entry->action : table->default_action();
     if (!ActionIsCacheable(action)) cacheable = false;
-    if (mega_on) AppendActionReads(action, consulted_scratch_);
+    AppendActionReads(action, consulted_scratch_);
     flow.steps.push_back(CachedStep{table.get(), entry});
     const ExecResult exec = executor.Execute(action, p, now);
     result.ops_executed += exec.ops_executed;
@@ -603,23 +378,16 @@ PipelineResult Pipeline::ResolveAndCache(CachePartition& part,
   }
   // A mutation inside an action could in principle bump the epoch while we
   // resolve; the stamp taken up front makes such a flow immediately stale.
-  if (cacheable) {
-    install_and_note(flow);
-  } else {
-    MemoNote(part, memo, signature, nullptr, MemoTier::kUncacheable);
-  }
+  if (cacheable) Install(pristine, std::move(flow));
   return result;
 }
 
-PipelineResult Pipeline::ProcessOne(CachePartition& part, packet::Packet& p,
-                                    SimTime now, ActionExecutor& executor,
-                                    BatchMemo* memo) {
-  const bool micro_on = MicroOn();
-  const bool mega_on = MegaOn();
-  // An empty pipeline has nothing worth memoizing — the signature hash
-  // would cost more than the parse it skips — so table-less devices
-  // (hosts, NICs) bypass the cache entirely.
-  if ((!micro_on && !mega_on) || tables_.empty()) {
+PipelineResult Pipeline::ProcessOne(packet::Packet& p, SimTime now,
+                                    ActionExecutor& executor) {
+  // An empty pipeline has nothing worth memoizing — the probe would cost
+  // more than the parse it skips — so table-less devices (hosts, NICs)
+  // bypass the cache entirely.
+  if (!flow_cache_enabled_ || tables_.empty()) {
     PipelineResult result;
     if (!parser_.Accepts(p)) {
       p.MarkDropped("parse_reject");
@@ -642,115 +410,44 @@ PipelineResult Pipeline::ProcessOne(CachePartition& part, packet::Packet& p,
     return result;
   }
 
-  const std::uint64_t signature = p.ContentSignature();
-  if (memo != nullptr && memo->generation == part.cache_generation) {
-    const auto mit = memo->entries.find(signature);
-    if (mit != memo->entries.end()) {
-      const MemoEntry me = mit->second;
-      if (me.tier == MemoTier::kMicro && me.flow->epoch == epoch_) {
-        // A duplicate signature inside this burst: the scalar oracle would
-        // re-probe the microflow tier and hit the same entry.
-        ++part.micro.hits;
-        me.flow->referenced = true;
-        PipelineResult result = ReplayCached(*me.flow, p, now, executor);
-        result.flow_cache_hit = true;
-        return result;
-      }
-      if (me.tier == MemoTier::kMega && me.flow->epoch == epoch_) {
-        // The scalar oracle re-probes: a microflow miss, then a mega hit.
-        if (micro_on) ++part.micro.misses;
-        ++part.mega.hits;
-        me.flow->referenced = true;
-        PipelineResult result = ReplayCached(*me.flow, p, now, executor);
-        result.megaflow_hit = true;
-        return result;
-      }
-      if (me.tier == MemoTier::kUncacheable) {
-        // First occurrence resolved uncacheably: the scalar path re-probes
-        // both tiers, misses both, and resolves again — bill the same.
-        if (micro_on) ++part.micro.misses;
-        if (mega_on) ++part.mega.misses;
-        return ResolveAndCache(part, p, now, executor, signature, memo);
-      }
-      // Stale memo (epoch moved since it was noted): fall through to the
-      // global probes, which reclaim and re-resolve exactly like scalar.
-    }
+  const std::uint64_t structure_sig = p.StructureSignature();
+  if (CachedFlow* e = Probe(p, structure_sig)) {
+    ++hits_;
+    e->referenced = true;
+    PipelineResult result = ReplayCached(*e, p, now, executor);
+    result.megaflow_hit = true;
+    return result;
   }
-
-  if (micro_on) {
-    const auto it = part.flow_cache.find(signature);
-    if (it != part.flow_cache.end()) {
-      if (it->second.epoch == epoch_) {
-        ++part.micro.hits;
-        it->second.referenced = true;
-        MemoNote(part, memo, signature, &it->second, MemoTier::kMicro);
-        PipelineResult result = ReplayCached(it->second, p, now, executor);
-        result.flow_cache_hit = true;
-        return result;
-      }
-      // Dead entry from an older epoch: reclaim it on the spot so it stops
-      // occupying capacity live flows could use.
-      ++part.micro.stale_reclaimed;
-      TierErase(part, part.micro, part.flow_cache, it,
-                [](const CachedFlow&) {});
-    }
-    ++part.micro.misses;
-  }
-  if (mega_on) {
-    const std::uint64_t structure_sig = p.StructureSignature();
-    if (MegaflowEntry* e = MegaProbe(part, p, structure_sig)) {
-      ++part.mega.hits;
-      e->referenced = true;
-      MemoNote(part, memo, signature, e, MemoTier::kMega);
-      PipelineResult result = ReplayCached(*e, p, now, executor);
-      result.megaflow_hit = true;
-      return result;
-    }
-    ++part.mega.misses;
-  }
-  return ResolveAndCache(part, p, now, executor, signature, memo);
+  ++misses_;
+  return ResolveAndCache(p, now, executor, structure_sig);
 }
 
-PipelineResult Pipeline::Process(packet::Packet& p, SimTime now,
-                                 std::size_t shard) {
+PipelineResult Pipeline::Process(packet::Packet& p, SimTime now) {
   ActionExecutor executor(&state_);
-  return ProcessOne(Part(shard), p, now, executor, nullptr);
+  return ProcessOne(p, now, executor);
 }
 
 void Pipeline::ProcessBatch(std::span<packet::Packet> pkts, SimTime now,
-                            std::span<PipelineResult> results,
-                            std::size_t shard) {
-  CachePartition& part = Part(shard);
+                            std::span<PipelineResult> results) {
   ++batches_;
   batch_sizes_.Add(static_cast<double>(pkts.size()));
   ActionExecutor executor(&state_);
-  part.batch_memo.entries.clear();
-  part.batch_memo.generation = part.cache_generation;
-  BatchMemo* memo = (MicroOn() || MegaOn()) ? &part.batch_memo : nullptr;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
-    results[i] = ProcessOne(part, pkts[i], now, executor, memo);
+    results[i] = ProcessOne(pkts[i], now, executor);
   }
 }
 
 void Pipeline::PublishMetrics(telemetry::MetricsRegistry& registry) const {
-  registry.Count("dataplane_flowcache_hits", flow_cache_hits());
-  registry.Count("dataplane_flowcache_misses", flow_cache_misses());
   // Epoch bumps: whole-cache invalidations, one per pipeline mutation.
-  // Per-entry removals are the two counters below, so eviction storms are
-  // visible instead of hiding behind the epoch counter.
+  // Per-entry removals are the evictions/stale_reclaimed counters, so
+  // eviction storms are visible instead of hiding behind the epoch.
   registry.Count("dataplane_flowcache_invalidations", epoch_);
-  registry.Count("dataplane_flowcache_evictions", flow_cache_evictions());
-  registry.Count("dataplane_flowcache_stale_reclaimed",
-                 flow_cache_stale_reclaimed());
-  registry.Count("dataplane_megaflow_hits", megaflow_hits());
-  registry.Count("dataplane_megaflow_misses", megaflow_misses());
-  registry.Count("dataplane_megaflow_evictions", megaflow_evictions());
-  registry.Count("dataplane_megaflow_stale_reclaimed",
-                 megaflow_stale_reclaimed());
-  registry.Set("dataplane_megaflow_size",
-               static_cast<double>(megaflow_size()));
-  registry.Set("dataplane_megaflow_masks",
-               static_cast<double>(megaflow_mask_count()));
+  registry.Count("dataplane_megaflow_hits", hits_);
+  registry.Count("dataplane_megaflow_misses", misses_);
+  registry.Count("dataplane_megaflow_evictions", evictions_);
+  registry.Count("dataplane_megaflow_stale_reclaimed", stale_reclaimed_);
+  registry.Set("dataplane_megaflow_size", static_cast<double>(cache_.size()));
+  registry.Set("dataplane_megaflow_masks", static_cast<double>(masks_.size()));
   std::uint64_t indexed = 0;
   std::uint64_t scanned = 0;
   for (const auto& t : tables_) {

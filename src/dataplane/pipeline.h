@@ -2,34 +2,23 @@
 // an accepted packet.  It owns its tables; the arch layer maps tables onto
 // physical resources and assigns the latency cost of traversal.
 //
-// The pipeline carries an OVS-style staged flow cache (docs/DATAPLANE_PERF.md):
+// The pipeline carries an OVS-style wildcard flow cache, the megaflow
+// cache (docs/DATAPLANE_PERF.md).  A slow-path resolution — parse plus
+// every table lookup — records which fields it actually consulted (parser
+// selects, table key columns with their LPM/ternary bit-masks, action
+// operand reads) and memoizes its (table, entry) step sequence under the
+// masked values of just those fields.  One entry therefore covers every
+// packet that agrees on the masked bits: a whole prefix or tenant, not one
+// 5-tuple.  Entries are verified field by field on probe, so a hash
+// collision never replays another flow's steps.
 //
-//   * Microflow tier — exact-match.  The first packet of a flow resolves
-//     parse + every table lookup and the result (the per-table (table, entry)
-//     step sequence) is memoized under the packet's content signature.
-//   * Megaflow tier — wildcard.  The same resolution records which fields it
-//     actually consulted (parser selects, table key columns with their
-//     LPM/ternary bit-masks, action operand reads); the union becomes a
-//     wildcard mask, so one megaflow entry covers every packet that agrees
-//     on just those masked bits — a whole prefix or tenant, not one 5-tuple.
-//
-// Lookup probes micro first, then mega, then resolves.  Both tiers evict
-// with a CLOCK (second-chance) policy instead of wholesale clears, and
-// reclaim stale-epoch entries lazily (on probe, plus a once-per-epoch sweep
-// under capacity pressure).  Soundness comes from a pipeline-wide epoch
-// counter: every mutation anywhere (entry churn, default actions, table
-// add/remove/move, parser edits, runtime reflash) bumps it, and cached flows
-// stamped with an older epoch are treated as misses.
-//
-// Cache state is *partitioned*: the sharded data plane gives each worker its
-// own CachePartition (both tiers, masks, batch memo), selected by the shard
-// index passed to Process/ProcessBatch.  Flow-affine steering means a flow
-// only ever touches one partition, so per-partition hit/miss sequences are
-// deterministic regardless of worker interleaving, and no cache bucket is
-// ever shared between workers.  The epoch counter stays pipeline-global:
-// one BumpEpoch invalidates every partition at once (the reconfig fan-out).
-// Counter getters sum across partitions (plus a retired accumulator that
-// survives partition rebuilds), so observability is partition-transparent.
+// The cache evicts with a CLOCK (second-chance) policy instead of
+// wholesale clears, and reclaims stale-epoch entries lazily (on probe, plus
+// a once-per-epoch sweep under capacity pressure).  Soundness comes from a
+// pipeline-wide epoch counter: every mutation anywhere (entry churn,
+// default actions, table add/remove/move, parser edits, runtime reflash)
+// bumps it, and cached flows stamped with an older epoch are treated as
+// misses.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +46,9 @@ struct PipelineResult {
   bool dropped = false;
   std::size_t tables_traversed = 0;
   std::size_t ops_executed = 0;
-  bool flow_cache_hit = false;  // answered by the exact-match microflow tier
-  bool megaflow_hit = false;    // answered by the wildcard megaflow tier
+  // Always false: no exact-match tier exists.  Read only by perfbench.
+  bool flow_cache_hit = false;
+  bool megaflow_hit = false;  // answered by the megaflow cache
   // Names of the tables consulted, in execution order.  Filled ONLY for
   // postcard-sampled packets (p.postcard_sampled()); empty otherwise, so
   // the unsampled fast path never allocates here.  Cached replays report
@@ -94,76 +84,56 @@ class Pipeline {
 
   // Runs parse + every table in order.  Unparseable packets are dropped
   // ("parse_reject"); a Drop action short-circuits the remaining tables.
-  // This scalar path is the semantic oracle for ProcessBatch.  `shard`
-  // selects the cache partition (0 = the single default partition).
-  PipelineResult Process(packet::Packet& p, SimTime now, std::size_t shard = 0);
+  // This scalar path is the semantic oracle for ProcessBatch.
+  PipelineResult Process(packet::Packet& p, SimTime now);
 
   // Burst overload: processes `pkts` member-major (each packet runs its
   // full parse -> lookup -> action sequence before the next starts, so
   // stateful ops — meters, counters, registers — observe exactly the
-  // scalar order) while amortizing per-burst costs: one ActionExecutor,
-  // and a batch-local signature memo so one flow-cache probe serves
-  // every duplicate signature in the burst.  Outcomes, packet contents,
-  // per-table hit accounting, and per-tier hit/miss counters are
+  // scalar order) with one ActionExecutor for the whole burst.  Outcomes,
+  // packet contents, per-table hit accounting, and cache counters are
   // identical to calling Process() on each member in order.
-  // `results` must have at least pkts.size() slots.  `shard` selects the
-  // cache partition the burst probes and fills.
+  // `results` must have at least pkts.size() slots.
   void ProcessBatch(std::span<packet::Packet> pkts, SimTime now,
-                    std::span<PipelineResult> results, std::size_t shard = 0);
-
-  // --- Cache partitioning (sharded data plane) ---
-  // Rebuilds the cache as `n` independent partitions (>= 1).  Existing
-  // cached flows are discarded (counted as evictions) and tier counters
-  // fold into a retired accumulator so published totals never move
-  // backwards.  One partition per worker keeps probe/evict sequences
-  // deterministic under any worker interleaving.
-  void set_cache_partitions(std::size_t n);
-  std::size_t cache_partitions() const noexcept { return parts_.size(); }
+                    std::span<PipelineResult> results);
 
   // --- Flow cache controls / observability ---
-  // Master switch: disabling clears BOTH tiers (counted as evictions) and
-  // turns all caching off — the oracle configuration differential tests
-  // rely on.  The per-tier switches below gate each tier individually.
+  // Disabling clears the cache (counted as evictions) and turns caching
+  // off — the oracle configuration differential tests rely on.
   void set_flow_cache_enabled(bool enabled);
   bool flow_cache_enabled() const noexcept { return flow_cache_enabled_; }
-  void set_microflow_enabled(bool enabled);
-  bool microflow_enabled() const noexcept { return microflow_enabled_; }
-  void set_megaflow_enabled(bool enabled);
-  bool megaflow_enabled() const noexcept { return megaflow_enabled_; }
 
-  // Per-tier capacity (entries *per partition*; default 65536).  Shrinking
-  // below the current population evicts down through the CLOCK policy.
-  void set_flow_cache_cap(std::size_t cap);
-  std::size_t flow_cache_cap() const noexcept { return micro_cap_; }
+  // Capacity in entries (default 65536).  Shrinking below the current
+  // population evicts down through the CLOCK policy.
   void set_megaflow_cap(std::size_t cap);
-  std::size_t megaflow_cap() const noexcept { return mega_cap_; }
+  std::size_t megaflow_cap() const noexcept { return cap_; }
 
-  // Invalidate every memoized flow in every partition.  Callers whose
-  // mutations bypass the Pipeline API (e.g. the runtime engine reflashing
-  // device programs) invoke this to keep cached steps from outliving what
-  // they memoized.
+  // Invalidate every memoized flow.  Callers whose mutations bypass the
+  // Pipeline API (e.g. the runtime engine reflashing device programs)
+  // invoke this to keep cached steps from outliving what they memoized.
+  // The epoch counts whole-cache invalidations, one per mutation.
   void BumpEpoch() noexcept { ++epoch_; }
   std::uint64_t epoch() const noexcept { return epoch_; }
 
-  // --- Microflow tier counters (summed across partitions + retired) ---
-  std::uint64_t flow_cache_hits() const noexcept;
-  std::uint64_t flow_cache_misses() const noexcept;
-  // Whole-cache *epoch* invalidations: one per pipeline mutation.  Entries
-  // removed individually are counted separately — flow_cache_evictions()
-  // for capacity pressure (including wholesale clears on tier disable),
-  // flow_cache_stale_reclaimed() for dead-epoch cleanup.
-  std::uint64_t flow_cache_invalidations() const noexcept { return epoch_; }
-  std::uint64_t flow_cache_evictions() const noexcept;
-  std::uint64_t flow_cache_stale_reclaimed() const noexcept;
-  std::size_t flow_cache_size() const noexcept;
+  // --- Cache counters ---
+  std::uint64_t megaflow_hits() const noexcept { return hits_; }
+  std::uint64_t megaflow_misses() const noexcept { return misses_; }
+  // Entries removed under capacity pressure, by a wholesale clear, or by a
+  // wildcard-shape overflow restart.
+  std::uint64_t megaflow_evictions() const noexcept { return evictions_; }
+  // Dead-epoch entries removed on probe or by the at-cap sweep.
+  std::uint64_t megaflow_stale_reclaimed() const noexcept {
+    return stale_reclaimed_;
+  }
+  std::size_t megaflow_size() const noexcept { return cache_.size(); }
+  std::size_t megaflow_mask_count() const noexcept { return masks_.size(); }
 
-  // --- Megaflow tier counters (summed across partitions + retired) ---
-  std::uint64_t megaflow_hits() const noexcept;
-  std::uint64_t megaflow_misses() const noexcept;
-  std::uint64_t megaflow_evictions() const noexcept;
-  std::uint64_t megaflow_stale_reclaimed() const noexcept;
-  std::size_t megaflow_size() const noexcept;
-  std::size_t megaflow_mask_count() const noexcept;
+  // Counters of the retired exact-match tier, read only by perfbench: no
+  // lookup is answered before the megaflow probe, so hits and evictions
+  // are 0 and every cache lookup counts as a miss.
+  std::uint64_t flow_cache_hits() const noexcept { return 0; }
+  std::uint64_t flow_cache_misses() const noexcept { return hits_ + misses_; }
+  std::uint64_t flow_cache_evictions() const noexcept { return 0; }
 
   // --- Burst observability ---
   std::uint64_t batches_processed() const noexcept { return batches_; }
@@ -176,8 +146,7 @@ class Pipeline {
 
   // Snapshot the fast-path counters into `registry` (one-shot: callers
   // Reset() the registry first; values are current totals, not deltas):
-  //   dataplane_flowcache_{hits,misses,invalidations,evictions,
-  //                        stale_reclaimed},
+  //   dataplane_flowcache_invalidations (epoch bumps),
   //   dataplane_megaflow_{hits,misses,evictions,stale_reclaimed} plus
   //   dataplane_megaflow_{size,masks} gauges,
   //   table_lookup_{indexed,scanned} (summed over current tables),
@@ -192,16 +161,7 @@ class Pipeline {
     MatchActionTable* table = nullptr;
     TableEntry* entry = nullptr;
   };
-  // Base of both tiers' entries: the memoized step sequence plus the CLOCK
-  // eviction state (recency bit + ring slot).
-  struct CachedFlow {
-    std::uint64_t epoch = 0;    // stale when != pipeline epoch
-    bool parse_reject = false;  // memoized parser verdict
-    bool referenced = true;     // CLOCK second-chance bit, set on every hit
-    std::uint32_t slot = 0;     // position in the owning tier's clock ring
-    std::vector<CachedStep> steps;
-  };
-  // One consulted field of a megaflow key: the pristine (pre-action) packet
+  // One consulted field of a cache key: the pristine (pre-action) packet
   // value under the consult mask, or "absent" — field presence decides
   // matches (and parse verdicts) just as much as values do.
   struct MaskedValue {
@@ -209,8 +169,15 @@ class Pipeline {
     std::uint64_t value = 0;
     friend bool operator==(const MaskedValue&, const MaskedValue&) = default;
   };
-  struct MegaflowEntry : CachedFlow {
-    std::uint32_t mask_index = 0;     // which partition mask shape keyed this
+  // A cached flow: the memoized step sequence, its key, and its CLOCK
+  // eviction state (recency bit + ring slot).
+  struct CachedFlow {
+    std::uint64_t epoch = 0;    // stale when != pipeline epoch
+    bool parse_reject = false;  // memoized parser verdict
+    bool referenced = true;     // CLOCK second-chance bit, set on every hit
+    std::uint32_t slot = 0;     // position in the clock ring
+    std::vector<CachedStep> steps;
+    std::uint32_t mask_index = 0;     // which wildcard shape keyed this
     std::uint64_t structure_sig = 0;  // header-stack shape guard
     std::vector<MaskedValue> values;  // one per mask field; verified on probe
   };
@@ -221,111 +188,27 @@ class Pipeline {
     std::vector<ConsultedField> fields;
     std::uint32_t live = 0;  // entries currently keyed by this shape
   };
+  using CacheMap = std::unordered_map<std::uint64_t, CachedFlow>;
 
   static constexpr std::size_t kFlowCacheDefaultCap = 65536;
   // Bound on distinct wildcard shapes; overflowing (pathological table
-  // churn) clears the megaflow tier, counted as evictions.
+  // churn) clears the cache, counted as evictions.
   static constexpr std::size_t kMaxMegaflowMasks = 32;
 
-  // Per-tier CLOCK ring and counters.  The entry maps stay separate members
-  // because the tiers store different entry types.
-  struct CacheTier {
-    std::size_t cap = kFlowCacheDefaultCap;
-    std::vector<std::uint64_t> slot_keys;  // ring: slot -> map key
-    std::vector<std::uint32_t> free_slots;
-    std::size_t hand = 0;
-    std::uint64_t last_sweep_epoch = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;        // capacity-pressure removals
-    std::uint64_t stale_reclaimed = 0;  // dead-epoch removals
-  };
+  CacheMap::iterator Erase(CacheMap::iterator it);
+  void EvictOne();
+  void Clear(bool count_as_evictions);
+  CachedFlow* Probe(const packet::Packet& p, std::uint64_t structure_sig);
+  void Install(const packet::Packet& pristine, CachedFlow flow);
 
-  // Batch-local memo: signature -> the tier entry the first occurrence
-  // resolved to, so duplicate signatures inside one burst skip the global
-  // probe while billing the exact counters the scalar oracle would.
-  // Pointers into the tier maps are orphaned by any erase; `generation`
-  // detects that.
-  enum class MemoTier : std::uint8_t { kUncacheable, kMicro, kMega };
-  struct MemoEntry {
-    CachedFlow* flow = nullptr;  // lives in the tier named by `tier`
-    MemoTier tier = MemoTier::kUncacheable;
-  };
-  struct BatchMemo {
-    std::uint64_t generation = 0;
-    std::unordered_map<std::uint64_t, MemoEntry> entries;
-  };
-
-  // Everything one worker's cache touches, bundled so shards never share a
-  // mutable cache bucket: both tier maps and CLOCK rings, the wildcard
-  // shapes, the erase generation, and the per-burst memo.
-  struct CachePartition {
-    std::unordered_map<std::uint64_t, CachedFlow> flow_cache;  // micro tier
-    CacheTier micro;
-    std::unordered_map<std::uint64_t, MegaflowEntry> megaflow_cache;
-    CacheTier mega;
-    std::vector<MegaMask> mega_masks;
-    // Bumped on every entry erase in either tier (evictions, stale
-    // reclamation, wholesale clears): outstanding BatchMemo pointers become
-    // invalid exactly then.
-    std::uint64_t cache_generation = 0;
-    BatchMemo batch_memo;  // reused across bursts to keep buckets warm
-  };
-
-  bool MicroOn() const noexcept {
-    return flow_cache_enabled_ && microflow_enabled_;
-  }
-  bool MegaOn() const noexcept {
-    return flow_cache_enabled_ && megaflow_enabled_;
-  }
-
-  // Tier plumbing shared by both maps (definitions in pipeline.cc; every
-  // instantiation lives in that translation unit).
-  template <typename Map, typename OnErase>
-  typename Map::iterator TierErase(CachePartition& part, CacheTier& tier,
-                                   Map& map, typename Map::iterator it,
-                                   OnErase&& on_erase);
-  template <typename Map, typename OnErase>
-  void TierEvictOne(CachePartition& part, CacheTier& tier, Map& map,
-                    OnErase&& on_erase);
-  template <typename Map, typename OnErase>
-  typename Map::mapped_type* TierInsert(CachePartition& part, CacheTier& tier,
-                                        Map& map, std::uint64_t key,
-                                        typename Map::mapped_type&& entry,
-                                        OnErase&& on_erase);
-  template <typename Map>
-  void TierClear(CachePartition& part, CacheTier& tier, Map& map,
-                 bool count_as_evictions);
-
-  void ClearMicro(CachePartition& part, bool count_as_evictions);
-  void ClearMega(CachePartition& part, bool count_as_evictions);
-
-  CachedFlow* MicroInsert(CachePartition& part, std::uint64_t signature,
-                          CachedFlow flow);
-  MegaflowEntry* MegaProbe(CachePartition& part, const packet::Packet& p,
-                           std::uint64_t structure_sig);
-  MegaflowEntry* MegaInsert(CachePartition& part,
-                            const packet::Packet& pristine,
-                            std::uint64_t structure_sig,
-                            const CachedFlow& flow);
-
-  void MemoNote(CachePartition& part, BatchMemo* memo, std::uint64_t signature,
-                CachedFlow* flow, MemoTier tier);
   PipelineResult ReplayCached(const CachedFlow& flow, packet::Packet& p,
                               SimTime now, ActionExecutor& executor);
-  // Single implementation under both Process (scalar oracle) and
-  // ProcessBatch (memo != nullptr).
-  PipelineResult ProcessOne(CachePartition& part, packet::Packet& p,
-                            SimTime now, ActionExecutor& executor,
-                            BatchMemo* memo);
-  PipelineResult ResolveAndCache(CachePartition& part, packet::Packet& p,
-                                 SimTime now, ActionExecutor& executor,
-                                 std::uint64_t signature, BatchMemo* memo);
-
-  CachePartition& Part(std::size_t shard) noexcept {
-    return *parts_[shard < parts_.size() ? shard : 0];
-  }
-  std::unique_ptr<CachePartition> MakePartition() const;
+  // Single implementation under both Process and ProcessBatch.
+  PipelineResult ProcessOne(packet::Packet& p, SimTime now,
+                            ActionExecutor& executor);
+  PipelineResult ResolveAndCache(packet::Packet& p, SimTime now,
+                                 ActionExecutor& executor,
+                                 std::uint64_t structure_sig);
 
   std::vector<std::unique_ptr<MatchActionTable>> tables_;
   StateObjects state_;
@@ -333,20 +216,21 @@ class Pipeline {
 
   std::uint64_t epoch_ = 0;  // bumped by tables_/parser_/structure mutations
   bool flow_cache_enabled_ = true;
-  bool microflow_enabled_ = true;
-  bool megaflow_enabled_ = true;
 
-  std::size_t micro_cap_ = kFlowCacheDefaultCap;
-  std::size_t mega_cap_ = kFlowCacheDefaultCap;
-  std::vector<std::unique_ptr<CachePartition>> parts_;  // never empty
-  // Counter residue of partitions discarded by set_cache_partitions();
-  // only the four counters are meaningful.
-  CacheTier retired_micro_;
-  CacheTier retired_mega_;
+  CacheMap cache_;
+  std::vector<MegaMask> masks_;
+  // CLOCK ring: slot -> cache key; freed slots are reused.
+  std::size_t cap_ = kFlowCacheDefaultCap;
+  std::vector<std::uint64_t> slot_keys_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t hand_ = 0;
+  std::uint64_t last_sweep_epoch_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t stale_reclaimed_ = 0;
 
-  // Scratch reused across slow-path resolutions and megaflow probes.
-  // Workers serialize per device (hop mutex), so pipeline-level scratch is
-  // never touched concurrently even in threaded sharding.
+  // Scratch reused across slow-path resolutions and probes.
   std::vector<ConsultedField> consulted_scratch_;
   std::vector<ConsultedField> mask_build_scratch_;
   std::vector<packet::FieldRef> parser_reads_scratch_;

@@ -12,7 +12,7 @@
 //                           field values (no per-entry string parsing).
 // Indexes are maintained incrementally on AddEntry/RemoveEntries — runtime
 // reconfiguration never rebuilds them from scratch — and every mutation
-// bumps the invalidation cell the owning Pipeline binds, so the microflow
+// bumps the invalidation cell the owning Pipeline binds, so the megaflow
 // cache can never serve a stale action.  The original linear scan survives
 // as MatchEntryReference(), the oracle for differential tests and the
 // bench baseline.
@@ -121,7 +121,7 @@ class MatchActionTable {
   // Returns the matched entry's action (recording the hit) or the default.
   const Action& Lookup(const packet::Packet& p);
   // Indexed lookup with hit accounting; nullptr means the default action
-  // applies.  The Pipeline's microflow cache memoizes the returned entry.
+  // applies.  The Pipeline's megaflow cache memoizes the returned entry.
   TableEntry* LookupEntry(const packet::Packet& p);
   // Lookup without hit accounting (const contexts).
   const Action* Match(const packet::Packet& p) const;
@@ -158,7 +158,7 @@ class MatchActionTable {
   std::uint64_t hits() const noexcept { return hits_; }
   // How lookups were answered: via the exact/LPM hash indexes vs. the
   // priority-ordered fallback scan (reference-scan lookups count as
-  // scanned).  Microflow-cache replays count in neither.
+  // scanned).  Flow-cache replays count in neither.
   std::uint64_t lookups_indexed() const noexcept { return lookups_indexed_; }
   std::uint64_t lookups_scanned() const noexcept { return lookups_scanned_; }
 

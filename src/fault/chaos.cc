@@ -7,7 +7,6 @@
 
 #include "controller/raft.h"
 #include "drpc/drpc.h"
-#include "net/shard.h"
 #include "net/topology.h"
 #include "net/traffic.h"
 #include "runtime/engine.h"
@@ -168,14 +167,6 @@ ChaosReport RunChaosSchedule(const ChaosConfig& config, FaultPlan plan) {
   net::Network network(&sim);
   const net::LinearTopology topo =
       net::BuildLinear(network, 3, SwitchKindFor(config.arch));
-  if (config.sharded_workers > 0) {
-    // Inline sharded substrate: flow-affine workers, per-worker cache
-    // partitions, and reconfig fences — exercised under the same fault
-    // schedule the scalar oracle runs.
-    net::ShardingConfig sharding;
-    sharding.workers = config.sharded_workers;
-    network.ConfigureSharding(sharding);
-  }
   FaultInjector injector(std::move(plan), &sim);
 
   runtime::ManagedDevice* target = nullptr;
@@ -349,9 +340,6 @@ ChaosReport RunChaosSchedule(const ChaosConfig& config, FaultPlan plan) {
     }
   }
 
-  // Sharded runs buffer deliveries/stats worker-locally; merge them so the
-  // checker sees the complete canonical record before it rules.
-  network.FlushShards();
   checker.Finish();
 
   // --- Phase D: drain/reflash baseline (after the traffic window: on a
@@ -448,7 +436,6 @@ ChaosReport RunChaosSchedule(const ChaosConfig& config, FaultPlan plan) {
 
   checker.CheckReconfigLatency(metrics, config.reconfig_latency_bound);
 
-  network.FlushShards();  // Phase D traffic may have landed in the shards
   const net::NetworkStats& stats = network.stats();
   report.packets_injected = stats.injected;
   report.packets_delivered = stats.delivered;

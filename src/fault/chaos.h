@@ -48,10 +48,6 @@ struct ChaosConfig {
   // Metrics sink for aggregate counters across schedules (bench use);
   // null = schedule-local only.
   telemetry::MetricsRegistry* metrics = nullptr;
-  // > 0: run the schedule over the sharded data plane (inline substrate)
-  // with this many flow-affine workers — reconfig fences, per-worker cache
-  // partitions, and canonical delivery merge all under chaos fire.
-  std::size_t sharded_workers = 0;
 };
 
 struct ChaosReport {

@@ -3,15 +3,10 @@
 #include <deque>
 #include <utility>
 
-#include "net/shard.h"
 #include "telemetry/postcard.h"
 #include "telemetry/telemetry.h"
 
 namespace flexnet::net {
-
-Network::Network(sim::Simulator* sim) : sim_(sim) {}
-
-Network::~Network() = default;
 
 namespace {
 
@@ -31,37 +26,7 @@ runtime::ManagedDevice* Network::AddDevice(
   index_[raw->id()] = devices_.size();
   devices_.push_back(std::move(managed));
   links_[raw->id()];  // ensure adjacency entry exists
-  if (sharded_ != nullptr) {
-    raw->device().pipeline().set_cache_partitions(sharded_->workers());
-    raw->set_reconfig_fence([this] {
-      if (sharded_ != nullptr) sharded_->Quiesce();
-    });
-  }
   return raw;
-}
-
-void Network::ConfigureSharding(const ShardingConfig& config) {
-  if (sharded_ != nullptr) {
-    sharded_->Flush();
-    sharded_.reset();
-  }
-  sharded_ = std::make_unique<ShardedDataPlane>(this, config);
-  sharding_on_ = true;
-  for (auto& d : devices_) {
-    d->device().pipeline().set_cache_partitions(sharded_->workers());
-    d->set_reconfig_fence([this] {
-      if (sharded_ != nullptr) sharded_->Quiesce();
-    });
-  }
-}
-
-void Network::set_sharding_enabled(bool enabled) {
-  if (!enabled && sharded_ != nullptr) sharded_->Flush();
-  sharding_on_ = enabled;
-}
-
-void Network::FlushShards() {
-  if (sharded_ != nullptr) sharded_->Flush();
 }
 
 runtime::ManagedDevice* Network::Find(DeviceId id) noexcept {
@@ -117,9 +82,6 @@ Status Network::AttachAddress(DeviceId device, std::uint64_t address) {
 }
 
 void Network::RebuildRoutes() {
-  // Workers read routes_ lock-free while walking journeys; never mutate it
-  // under their feet.
-  if (sharded_ != nullptr) sharded_->Quiesce();
   routes_.clear();
   // One BFS per destination device; all attached addresses of that device
   // share the result.  Parents at equal depth are all recorded => ECMP.
@@ -210,20 +172,14 @@ Result<SimDuration> Network::EstimatePathLatency(DeviceId from,
 
 void Network::MaybeOpenPostcard(packet::Packet& packet) {
   if (recorder_ == nullptr || !recorder_->sampling_enabled()) return;
-  // The recorder is single-threaded; real worker threads would race on it,
-  // so the threaded substrate runs postcard-free (cards are never opened,
-  // not opened-and-leaked).
-  if (sharding_enabled() && sharded_->config().threaded) return;
   // Sampling is keyed on the flow, not the packet: every packet of a
   // sampled flow carries a card, so parity tests can compare complete
   // per-flow journeys and the sampled set is stable across runs/bursts.
-  // The hash is the packet's memoized steering hash — one extraction
-  // serves sampling and RSS steering — but only genuine 5-tuple hashes
-  // sample (fallback-hash traffic has no flow identity to sample by).
-  const std::uint64_t flow_hash = packet::FlowHashOf(packet);
-  if (packet.flow_hash_state != packet::Packet::FlowHashState::kFiveTuple) {
-    return;  // non-5-tuple traffic is never sampled
-  }
+  // Traffic without an IPv4 header has no flow identity to sample by and
+  // is never sampled.
+  const auto key = packet::ExtractFlowKey(packet);
+  if (!key.has_value()) return;
+  const std::uint64_t flow_hash = key->Hash();
   if (!recorder_->ShouldSample(flow_hash)) return;
   packet.postcard_id = recorder_->Open(packet.id(), flow_hash, sim_->now());
 }
@@ -231,16 +187,15 @@ void Network::MaybeOpenPostcard(packet::Packet& packet) {
 void Network::RecordPostcardHop(packet::Packet& packet,
                                 runtime::ManagedDevice& device,
                                 arch::ProcessOutcome& outcome,
-                                std::uint32_t batch_size, SimTime at) {
+                                std::uint32_t batch_size) {
   if (recorder_ == nullptr || packet.postcard_id == 0) return;
   telemetry::PostcardHop hop;
   hop.device = device.id().value();
   hop.program_version = device.program_version();
-  hop.at = at;
+  hop.at = sim_->now();
   hop.latency_ns = outcome.latency;
-  hop.tier = outcome.pipeline.flow_cache_hit ? telemetry::CacheTier::kMicro
-             : outcome.pipeline.megaflow_hit ? telemetry::CacheTier::kMega
-                                             : telemetry::CacheTier::kSlowPath;
+  hop.tier = outcome.pipeline.megaflow_hit ? telemetry::CacheTier::kMega
+                                           : telemetry::CacheTier::kSlowPath;
   hop.tables_consulted =
       static_cast<std::uint32_t>(outcome.pipeline.tables_traversed);
   hop.batch_size = batch_size;
@@ -253,16 +208,6 @@ void Network::InjectPacket(DeviceId from, packet::Packet packet) {
   ++stats_.injected;
   packet.created_at = sim_->now();
   MaybeOpenPostcard(packet);
-  if (sharding_enabled()) {
-    // RSS steering off the memoized inject-time flow hash: the flow's
-    // worker is a pure function of packet contents, identical across runs
-    // and burst sizes.
-    const std::size_t shard = sharded_->ShardOf(packet::FlowHashOf(packet));
-    packet::PacketBatch batch;
-    batch.Push(std::move(packet));
-    sharded_->Enqueue(shard, from, sim_->now(), std::move(batch));
-    return;
-  }
   HopProcess(from, std::move(packet));
 }
 
@@ -273,25 +218,6 @@ void Network::InjectBatch(DeviceId from, packet::PacketBatch batch) {
   for (packet::Packet& p : batch) {
     p.created_at = now;
     MaybeOpenPostcard(p);
-  }
-  if (sharding_enabled()) {
-    // Split the burst into per-shard slices, preserving member order
-    // within each slice (a flow's packets all hash to one slice, so
-    // per-flow order is exactly the scalar order).
-    const std::size_t n = sharded_->workers();
-    std::vector<packet::PacketBatch> slices(n);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      packet::Packet p = batch.Take(i);
-      const std::size_t shard = sharded_->ShardOf(packet::FlowHashOf(p));
-      slices[shard].Push(std::move(p));
-    }
-    arena_.Recycle(std::move(batch));
-    for (std::size_t shard = 0; shard < n; ++shard) {
-      if (!slices[shard].empty()) {
-        sharded_->Enqueue(shard, from, now, std::move(slices[shard]));
-      }
-    }
-    return;
   }
   if (!batching_enabled_) {
     // Scalar-transport oracle: unbundle onto the per-packet path at the
@@ -332,9 +258,8 @@ void Network::FinishDeliver(packet::Packet&& packet) {
 }
 
 Network::HopDecision Network::SettleHop(DeviceId at, packet::Packet& packet,
-                                        const arch::ProcessOutcome& outcome,
-                                        NetworkStats& stats) {
-  stats.total_energy_nj += outcome.energy_nj;
+                                        const arch::ProcessOutcome& outcome) {
+  stats_.total_energy_nj += outcome.energy_nj;
   HopDecision decision;
   if (outcome.pipeline.dropped || packet.dropped()) {
     decision.kind = HopDecision::kDrop;
@@ -396,8 +321,8 @@ void Network::HopProcess(DeviceId at, packet::Packet packet) {
     return;
   }
   arch::ProcessOutcome outcome = device->Process(packet, sim_->now());
-  RecordPostcardHop(packet, *device, outcome, 1, sim_->now());
-  const HopDecision decision = SettleHop(at, packet, outcome, stats_);
+  RecordPostcardHop(packet, *device, outcome, 1);
+  const HopDecision decision = SettleHop(at, packet, outcome);
   switch (decision.kind) {
     case HopDecision::kDrop:
       FinishDrop(std::move(packet));
@@ -436,8 +361,7 @@ void Network::HopProcessBatch(DeviceId at, packet::PacketBatch batch) {
     // the scalar oracle would visit them.
     const auto batch_size = static_cast<std::uint32_t>(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      RecordPostcardHop(batch[i], *device, outcome_scratch_[i], batch_size,
-                        sim_->now());
+      RecordPostcardHop(batch[i], *device, outcome_scratch_[i], batch_size);
     }
   }
 
@@ -448,8 +372,7 @@ void Network::HopProcessBatch(DeviceId at, packet::PacketBatch batch) {
   decision_scratch_.resize(batch.size());
   bool uniform = true;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const HopDecision decision =
-        SettleHop(at, batch[i], outcome_scratch_[i], stats_);
+    const HopDecision decision = SettleHop(at, batch[i], outcome_scratch_[i]);
     decision_scratch_[i] = decision;
     if (decision.kind == HopDecision::kDrop ||
         decision.kind != decision_scratch_[0].kind ||
@@ -537,9 +460,6 @@ void Network::PublishMetrics(telemetry::MetricsRegistry& registry) const {
                stats_.latency_percentiles.Percentile(99.9));
   for (const auto& [reason, count] : stats_.drops_by_reason) {
     registry.Count("net_drop_reason_" + reason, count);
-  }
-  if (sharded_ != nullptr) {
-    sharded_->PublishMetrics(registry);
   }
   if (recorder_ != nullptr) {
     recorder_->PublishMetrics(registry);

@@ -30,9 +30,6 @@ class PostcardRecorder;
 
 namespace flexnet::net {
 
-class ShardedDataPlane;
-struct ShardingConfig;
-
 struct DeliveryRecord {
   packet::Packet packet;
   SimDuration latency = 0;
@@ -60,10 +57,7 @@ struct NetworkStats {
 
 class Network {
  public:
-  // Out-of-line (including the constructor's exception-cleanup path):
-  // ShardedDataPlane is incomplete here.
-  explicit Network(sim::Simulator* sim);
-  ~Network();
+  explicit Network(sim::Simulator* sim) : sim_(sim) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -110,26 +104,6 @@ class Network {
     batching_enabled_ = enabled;
   }
   bool batching_enabled() const noexcept { return batching_enabled_; }
-
-  // --- Sharded multi-worker data plane (src/net/shard.h) ---
-  // Installs (or replaces) the sharded plane and enables it: injections
-  // are steered to flow-affine workers instead of the event-driven hop
-  // path.  Every device gets one cache partition per worker and a reconfig
-  // fence that quiesces the plane before program mutations.
-  void ConfigureSharding(const ShardingConfig& config);
-  // Toggles use of an installed plane without tearing it down.  Turning
-  // sharding off flushes first, so no results are stranded in worker-local
-  // buffers; the scalar path (the correctness oracle) then serves
-  // injections again.
-  void set_sharding_enabled(bool enabled);
-  bool sharding_enabled() const noexcept {
-    return sharding_on_ && sharded_ != nullptr;
-  }
-  ShardedDataPlane* sharded() noexcept { return sharded_.get(); }
-  // Quiesce workers and merge their buffered deliveries/stats into
-  // stats()/the delivery sink (canonical order).  Must be called before
-  // reading stats or sink output of a sharded run.
-  void FlushShards();
 
   // Borrow/return burst storage from the network's arena so callers that
   // build batches in a loop (traffic generators, benches) reuse buffers.
@@ -187,22 +161,16 @@ class Network {
     DeviceId next;           // kForward only
     SimDuration delay = 0;   // processing (+ link) latency to charge
   };
-  // `stats` receives the energy billed at this hop: the network aggregate
-  // on the scalar/batch paths, a worker-local NetworkStats under sharding
-  // (merged deterministically at FlushShards).
   HopDecision SettleHop(DeviceId at, packet::Packet& packet,
-                        const arch::ProcessOutcome& outcome,
-                        NetworkStats& stats);
+                        const arch::ProcessOutcome& outcome);
   // Postcard plumbing: flow-sampled card open at injection, one hop append
-  // per device visit (shared by scalar, batch, and inline-sharded paths —
-  // batch_size is the only field that differs), fate seal at
-  // drop/delivery.  `at` is the hop's processing time: sim->now() on the
-  // event-driven paths, the worker's virtual hop time under sharding.
+  // per device visit (shared by the scalar and batch paths — batch_size is
+  // the only field that differs), fate seal at drop/delivery.
   void MaybeOpenPostcard(packet::Packet& packet);
   void RecordPostcardHop(packet::Packet& packet,
                          runtime::ManagedDevice& device,
                          arch::ProcessOutcome& outcome,
-                         std::uint32_t batch_size, SimTime at);
+                         std::uint32_t batch_size);
   void HopProcess(DeviceId at, packet::Packet packet);
   void HopProcessBatch(DeviceId at, packet::PacketBatch batch);
   // Schedules one group (batch members sharing a decision) as one event.
@@ -227,11 +195,6 @@ class Network {
   packet::BatchArena arena_;
   std::vector<arch::ProcessOutcome> outcome_scratch_;
   std::vector<HopDecision> decision_scratch_;
-  // The sharded plane reuses SettleHop/RecordPostcardHop and the private
-  // transport state; friendship keeps that surface out of the public API.
-  friend class ShardedDataPlane;
-  std::unique_ptr<ShardedDataPlane> sharded_;
-  bool sharding_on_ = false;
 };
 
 }  // namespace flexnet::net

@@ -55,19 +55,4 @@ std::optional<FlowKey> ExtractFlowKey(const Packet& p) {
   return key;
 }
 
-std::uint64_t FlowHashOf(Packet& p) {
-  if (p.flow_hash_state != Packet::FlowHashState::kUnset) return p.flow_hash;
-  const auto key = ExtractFlowKey(p);
-  if (key.has_value()) {
-    p.flow_hash = key->Hash();
-    p.flow_hash_state = Packet::FlowHashState::kFiveTuple;
-  } else {
-    // Non-5-tuple traffic has no flow identity to preserve; spread it by
-    // packet id so it still shards deterministically.
-    p.flow_hash = Mix(0x9d5c7e3b1f24a681ULL, p.id());
-    p.flow_hash_state = Packet::FlowHashState::kFallback;
-  }
-  return p.flow_hash;
-}
-
 }  // namespace flexnet::packet

@@ -29,12 +29,6 @@ struct FlowKey {
 // zero for non-TCP/UDP traffic.
 std::optional<FlowKey> ExtractFlowKey(const Packet& p);
 
-// The packet's canonical steering hash, memoized in p.flow_hash: the
-// 5-tuple hash when one exists, else a stable packet-id mix.  Computed at
-// most once per packet; every later consumer (RSS shard steering, postcard
-// flow sampling) reuses the stamp instead of re-walking the header stack.
-std::uint64_t FlowHashOf(Packet& p);
-
 }  // namespace flexnet::packet
 
 namespace std {

@@ -99,17 +99,18 @@ class Packet {
   void SetMeta(Symbol key, std::uint64_t value);
   void ClearMeta() { meta_.clear(); }
 
-  // Order-sensitive hash of everything the pipeline can match on — the
-  // header stack (names, fields, values) plus metadata.  Two packets with
-  // equal signatures traverse a fixed pipeline identically, which is what
-  // the microflow cache keys on.
+  // Order-sensitive digest of the packet's content — the header stack
+  // (names, fields, values) plus metadata.  Differential tests compare it
+  // to check two execution paths left a packet identical.  It is a 64-bit
+  // hash, not an identity: nothing may treat equal signatures as equal
+  // packets.
   std::uint64_t ContentSignature() const noexcept;
 
   // Order-sensitive hash of the header stack's *shape* alone — header
   // names, no fields or values.  Parse-graph walks and header lookups
   // branch only on which headers exist and in what order, so the megaflow
   // cache keys on this plus the masked values of the fields a resolution
-  // actually consulted.
+  // actually consulted (and verifies those values on every probe).
   std::uint64_t StructureSignature() const noexcept;
 
   // --- Fate & trace ---
@@ -134,16 +135,6 @@ class Packet {
   std::uint64_t postcard_id = 0;
 
   bool postcard_sampled() const noexcept { return postcard_id != 0; }
-
-  // Memoized steering hash, stamped once at injection by FlowHashOf():
-  // the 5-tuple flow hash when the packet has one (kFiveTuple), a
-  // packet-id fallback otherwise (kFallback).  RSS shard steering and
-  // postcard flow sampling both read this instead of re-extracting the
-  // flow key per consumer.  Depends only on packet contents/id, so it is
-  // identical across runs and burst sizes.
-  enum class FlowHashState : std::uint8_t { kUnset, kFiveTuple, kFallback };
-  std::uint64_t flow_hash = 0;
-  FlowHashState flow_hash_state = FlowHashState::kUnset;
 
  private:
   std::uint64_t id_ = 0;

@@ -154,7 +154,6 @@ SimTime RuntimeEngine::ApplyDrain(ManagedDevice& dev, ReconfigPlan plan,
                                   DoneFn done) {
   auto report = std::make_shared<ApplyReport>();
   report->started = sim_->now();
-  dev.Fence();  // sharded workers must not be mid-hop when the drain starts
   dev.device().set_online(false);  // drain: traffic to this device is lost
   SimDuration window = dev.device().FullReflashCost();
   const SimTime predicted = sim_->now() + window;
@@ -189,7 +188,6 @@ SimTime RuntimeEngine::ApplyDrain(ManagedDevice& dev, ReconfigPlan plan,
   ManagedDevice* device = &dev;
   sim_->ScheduleAt(finish, [device, plan = std::move(plan), report, done,
                             finish, metrics, drain_span]() {
-    device->Fence();  // reflash lands as one atomic image swap
     for (std::size_t i = 0; i < plan.steps.size(); ++i) {
       const ReconfigStep& step = plan.steps[i];
       const Status status = device->ApplyStep(step);
@@ -203,8 +201,8 @@ SimTime RuntimeEngine::ApplyDrain(ManagedDevice& dev, ReconfigPlan plan,
         report->errors.push_back(ToText(step) + ": " + status.error().ToText());
       }
     }
-    // A reflash rewrote the whole pipeline image; whatever the microflow
-    // cache memoized before the drain window is void.
+    // A reflash rewrote the whole pipeline image; whatever the flow cache
+    // memoized before the drain window is void.
     device->device().pipeline().BumpEpoch();
     device->device().set_online(true);
     metrics->trace().Record(finish, "reconfig.drain_end", device->name(),

@@ -73,10 +73,10 @@ Status ManagedDevice::AddFunction(const StepAddFunction& step) {
       const std::string location,
       device_->ReserveTable("fn:" + step.fn.name, demand, SIZE_MAX));
   (void)location;
-  // Compile while still inside the reconfig fence: workers resume against a
-  // (decl, compiled) pair that already agrees.  A compile refusal (only
-  // possible for programs that bypassed the verifier) is not an install
-  // error — that entry just runs on the reference interpreter.
+  // Compile inside the same step as the install: the next packet runs
+  // against a (decl, compiled) pair that already agrees.  A compile
+  // refusal (only possible for programs that bypassed the verifier) is not
+  // an install error — that entry just runs on the reference interpreter.
   const auto t0 = std::chrono::steady_clock::now();
   auto compiled = flexbpf::CompiledFunction::Compile(step.fn);
   compile_ns_total_ += static_cast<std::uint64_t>(
@@ -138,7 +138,6 @@ void ManagedDevice::PublishMetrics(telemetry::MetricsRegistry& registry) const {
 }
 
 Status ManagedDevice::ApplyStep(const ReconfigStep& step) {
-  Fence();  // no sharded worker may be mid-hop while the program mutates
   Status status = OkStatus();
   if (const auto* s = std::get_if<StepAddTable>(&step)) {
     status = AddTable(*s);
@@ -197,7 +196,7 @@ Status ManagedDevice::ApplyStep(const ReconfigStep& step) {
   }
   if (status.ok()) {
     // Map storage may have moved (install/remove); re-resolve every
-    // compiled function's direct cell bindings before workers resume.
+    // compiled function's direct cell bindings before the next packet.
     for (auto& c : compiled_) {
       if (c.has_value()) c->Bind(&maps_);
     }
@@ -223,8 +222,7 @@ void ManagedDevice::RunFunctions(flexbpf::Interpreter& interp,
     const flexbpf::InterpResult r = use_compiled
                                         ? compiled_[i]->Run(p, &maps_)
                                         : interp.Run(functions_[i], p);
-    (use_compiled ? compiled_runs_ : interp_runs_)
-        .fetch_add(1, std::memory_order_relaxed);
+    ++(use_compiled ? compiled_runs_ : interp_runs_);
     outcome.latency += device_->MarginalLatency(1);
     outcome.energy_nj += device_->MarginalEnergyNj(1);
     if (r.dropped) {
@@ -243,9 +241,8 @@ arch::ProcessOutcome ManagedDevice::Process(packet::Packet& p, SimTime now) {
 }
 
 void ManagedDevice::ProcessBatch(std::span<packet::Packet> pkts, SimTime now,
-                                 std::span<arch::ProcessOutcome> outcomes,
-                                 std::size_t shard) {
-  device_->ProcessPacketBatch(pkts, now, outcomes, shard);
+                                 std::span<arch::ProcessOutcome> outcomes) {
+  device_->ProcessPacketBatch(pkts, now, outcomes);
   if (!device_->online() || functions_.empty()) return;
   flexbpf::Interpreter interp(&maps_);
   for (std::size_t i = 0; i < pkts.size(); ++i) {

@@ -11,11 +11,8 @@
 // the step — the per-change consistency the paper's section 2 describes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -50,28 +47,9 @@ class ManagedDevice {
   }
 
   // --- Program mutation surface (used by RuntimeEngine and the compiler's
-  // full-install path).  Each call is one atomic program change.
-  // ApplyStep first runs Fence(): with a sharded data plane attached the
-  // fence quiesces the workers (drains rings, waits for in-flight hops), so
-  // no worker ever observes a half-applied program — the reconfig barrier
-  // of the sharded design. ---
+  // full-install path).  Each call is one atomic program change. ---
   Status ApplyStep(const ReconfigStep& step);
   Status ApplyAll(const ReconfigPlan& plan);  // immediate, no timing model
-
-  // Installed by the sharded data plane; empty means no-op (scalar mode).
-  void set_reconfig_fence(std::function<void()> fence) {
-    fence_ = std::move(fence);
-  }
-  // Quiesce sharded workers before a program mutation touches this device.
-  void Fence() {
-    if (fence_) fence_();
-  }
-
-  // Serializes sharded workers executing a hop on this device.  Covers the
-  // device's batch scratch, table counters, stateful objects, and FlexBPF
-  // maps; cache partitions keep the fast path mostly uncontended, so this
-  // mutex is only hot when two workers land on the same device at once.
-  std::mutex& hop_mutex() noexcept { return hop_mutex_; }
 
   const std::vector<flexbpf::FunctionDecl>& functions() const noexcept {
     return functions_;
@@ -79,9 +57,9 @@ class ManagedDevice {
   bool HasFunction(const std::string& name) const noexcept;
 
   // --- Compiled FlexBPF execution (flexbpf/compile.h).  Functions are
-  // compiled once inside AddFunction — under the same reconfig fence as
-  // the install itself, so packets only ever see a (decl, compiled) pair
-  // that agrees.  Disabling falls back to the reference interpreter; the
+  // compiled once inside AddFunction — within the same atomic step as the
+  // install itself, so packets only ever see a (decl, compiled) pair that
+  // agrees.  Disabling falls back to the reference interpreter; the
   // differential fuzzer uses exactly this switch to pin the two executors
   // against each other. ---
   void set_compiled_exec_enabled(bool on) noexcept {
@@ -93,12 +71,8 @@ class ManagedDevice {
   // for any program the verifier admitted; compile failures fall back to
   // the interpreter per-function rather than failing the install).
   std::size_t compiled_function_count() const noexcept;
-  std::uint64_t compiled_runs() const noexcept {
-    return compiled_runs_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t interp_runs() const noexcept {
-    return interp_runs_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t compiled_runs() const noexcept { return compiled_runs_; }
+  std::uint64_t interp_runs() const noexcept { return interp_runs_; }
   std::uint64_t compile_ns_total() const noexcept { return compile_ns_total_; }
 
   // flexbpf_exec_* counters and flexbpf_compile_* gauges (EXPERIMENTS E18).
@@ -117,10 +91,8 @@ class ManagedDevice {
   // Reconfiguration interacts correctly with in-flight bursts because each
   // burst is one simulator event: an ApplyStep/reflash lands entirely
   // before or entirely after it, exactly as with scalar packets.
-  // `shard` selects the pipeline cache partition (sharded data plane).
   void ProcessBatch(std::span<packet::Packet> pkts, SimTime now,
-                    std::span<arch::ProcessOutcome> outcomes,
-                    std::size_t shard = 0);
+                    std::span<arch::ProcessOutcome> outcomes);
 
  private:
   // Runs every installed FlexBPF function against one packet, folding the
@@ -140,13 +112,9 @@ class ManagedDevice {
   // on.  nullopt = compile refused (interpreter fallback for that entry).
   std::vector<std::optional<flexbpf::CompiledFunction>> compiled_;
   bool compiled_exec_enabled_ = true;
-  // Relaxed atomics: sharded workers bump these inside their hop, and the
-  // chaos/TSan jobs run RunFunctions concurrently across devices.
-  std::atomic<std::uint64_t> compiled_runs_{0};
-  std::atomic<std::uint64_t> interp_runs_{0};
+  std::uint64_t compiled_runs_ = 0;
+  std::uint64_t interp_runs_ = 0;
   std::uint64_t compile_ns_total_ = 0;  // wall ns, mutated under ApplyStep
-  std::function<void()> fence_;
-  std::mutex hop_mutex_;
 };
 
 }  // namespace flexnet::runtime

@@ -11,8 +11,6 @@ const char* ToString(CacheTier tier) noexcept {
   switch (tier) {
     case CacheTier::kSlowPath:
       return "slow_path";
-    case CacheTier::kMicro:
-      return "micro";
     case CacheTier::kMega:
       return "mega";
   }
@@ -128,15 +126,15 @@ void PostcardRecorder::PublishMetrics(MetricsRegistry& registry) const {
   registry.CounterNamed("postcards_recorded").Increment(cards_.size());
   registry.CounterNamed("postcards_dropped").Increment(dropped());
   registry.CounterNamed("postcard_hops").Increment(hops_);
-  std::uint64_t by_tier[3] = {0, 0, 0};
+  std::uint64_t mega = 0;
+  std::uint64_t slow = 0;
   for (const Postcard& card : cards_) {
     for (const PostcardHop& hop : card.hops) {
-      ++by_tier[static_cast<std::size_t>(hop.tier) % 3];
+      ++(hop.tier == CacheTier::kMega ? mega : slow);
     }
   }
-  registry.CounterNamed("postcard_hops_slow").Increment(by_tier[0]);
-  registry.CounterNamed("postcard_hops_micro").Increment(by_tier[1]);
-  registry.CounterNamed("postcard_hops_mega").Increment(by_tier[2]);
+  registry.CounterNamed("postcard_hops_slow").Increment(slow);
+  registry.CounterNamed("postcard_hops_mega").Increment(mega);
 }
 
 namespace {

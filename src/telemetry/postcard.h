@@ -5,8 +5,8 @@
 // traces; postcards make that claim *evidenced per packet*.  A postcard is
 // the journey record of one sampled packet: per hop it stores the device,
 // the program/config version applied there, the sim-time processing
-// latency, the flow-cache tier that answered (slow path / microflow /
-// megaflow) with the tables consulted, and the burst the packet rode;
+// latency, whether the flow cache answered (slow path / megaflow) with
+// the tables consulted, and the burst the packet rode;
 // per card it stores the final fate (delivered, or dropped with reason).
 //
 // Sampling is flow-level and deterministic: a seeded hash of the flow key
@@ -31,8 +31,8 @@ namespace flexnet::telemetry {
 
 class MetricsRegistry;
 
-// Which layer of the staged flow cache answered a hop's lookup.
-enum class CacheTier : std::uint8_t { kSlowPath = 0, kMicro = 1, kMega = 2 };
+// What answered a hop's lookup: a full resolve or the megaflow cache.
+enum class CacheTier : std::uint8_t { kSlowPath = 0, kMega = 1 };
 
 const char* ToString(CacheTier tier) noexcept;
 
@@ -128,7 +128,7 @@ class PostcardRecorder {
   void Clear();
 
   // Snapshot counters into `registry`: postcards_{opened,recorded,dropped},
-  // postcard_hops, and per-tier hop counts postcard_hops_{slow,micro,mega}.
+  // postcard_hops, and per-tier hop counts postcard_hops_{slow,mega}.
   void PublishMetrics(MetricsRegistry& registry) const;
 
   // JSON object (schema in docs/TRACING.md "Postcards"): config, counters,

@@ -21,6 +21,10 @@ struct AppCase {
   flexbpf::ProgramIR program;
 };
 
+// gtest prints the parameter into the test listing; print the name, never
+// the struct's raw bytes (they hold heap pointers that change per run).
+void PrintTo(const AppCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<AppCase> AllApps() {
   std::vector<AppCase> apps;
   apps.push_back({"infra", MakeInfrastructureProgram()});

@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "dataplane/pipeline.h"
 #include "net/network.h"
-#include "net/shard.h"
 #include "net/topology.h"
 #include "net/traffic.h"
 #include "packet/batch.h"
@@ -65,8 +64,8 @@ void BuildTwin(Pipeline& p) {
 }
 
 packet::Packet RandomPacket(Rng& rng, std::uint64_t id) {
-  // Narrow field ranges on purpose: duplicate content signatures within a
-  // burst are the memo fast path under test.
+  // Narrow field ranges on purpose: later members of a burst replay cache
+  // entries that earlier members of the same burst installed.
   const std::uint64_t src = rng.NextBounded(9);  // 7 = deny, 8 = default
   const std::uint64_t dst = 0x0a000000 + rng.NextBounded(3);
   const std::uint64_t dport = 80 + rng.NextBounded(2);
@@ -75,12 +74,6 @@ packet::Packet RandomPacket(Rng& rng, std::uint64_t id) {
 }
 
 void ExpectSameCounters(const Pipeline& batch, const Pipeline& scalar) {
-  EXPECT_EQ(batch.flow_cache_hits(), scalar.flow_cache_hits());
-  EXPECT_EQ(batch.flow_cache_misses(), scalar.flow_cache_misses());
-  EXPECT_EQ(batch.flow_cache_size(), scalar.flow_cache_size());
-  EXPECT_EQ(batch.flow_cache_evictions(), scalar.flow_cache_evictions());
-  EXPECT_EQ(batch.flow_cache_stale_reclaimed(),
-            scalar.flow_cache_stale_reclaimed());
   EXPECT_EQ(batch.megaflow_hits(), scalar.megaflow_hits());
   EXPECT_EQ(batch.megaflow_misses(), scalar.megaflow_misses());
   EXPECT_EQ(batch.megaflow_size(), scalar.megaflow_size());
@@ -135,7 +128,6 @@ TEST(BatchDifferentialTest, PipelineBatchMatchesScalarUnderChurnAndEpochBumps) {
                                              << i;
         EXPECT_EQ(got.tables_traversed, want.tables_traversed);
         EXPECT_EQ(got.ops_executed, want.ops_executed);
-        EXPECT_EQ(got.flow_cache_hit, want.flow_cache_hit);
         EXPECT_EQ(got.megaflow_hit, want.megaflow_hit);
         EXPECT_EQ(batch_pkts[i].ContentSignature(),
                   scalar_pkts[i].ContentSignature());
@@ -147,8 +139,7 @@ TEST(BatchDifferentialTest, PipelineBatchMatchesScalarUnderChurnAndEpochBumps) {
       now += 1 * kMicrosecond;
 
       // Mutations land between bursts on BOTH twins: an epoch bump or a
-      // wholesale cache clear must orphan the batch memo exactly like it
-      // orphans the scalar cache.
+      // wholesale cache clear must reach both twins' caches alike.
       switch (churn_rng.NextBounded(6)) {
         case 0:
           batch_pipe.BumpEpoch();  // what a runtime reflash does
@@ -176,19 +167,6 @@ TEST(BatchDifferentialTest, PipelineBatchMatchesScalarUnderChurnAndEpochBumps) {
           const bool enable = churn_rng.NextBool(0.5);
           batch_pipe.set_flow_cache_enabled(enable);
           scalar_pipe.set_flow_cache_enabled(enable);
-          break;
-        }
-        case 4: {
-          // Tier toggles mid-run: the memo's tier tag must fall back to
-          // the surviving tier exactly like the scalar probe order does.
-          const bool enable = churn_rng.NextBool(0.5);
-          if (churn_rng.NextBool(0.5)) {
-            batch_pipe.set_megaflow_enabled(enable);
-            scalar_pipe.set_megaflow_enabled(enable);
-          } else {
-            batch_pipe.set_microflow_enabled(enable);
-            scalar_pipe.set_microflow_enabled(enable);
-          }
           break;
         }
         default:
@@ -225,27 +203,17 @@ enum class Archetype { kCbr, kPoisson, kSynFlood, kMix };
 struct RunConfig {
   std::size_t burst = 8;
   bool batching = true;
-  // > 0: route injections through the sharded data plane with this many
-  // flow-affine workers (inline substrate); 0 = event-driven transport.
-  std::size_t sharded_workers = 0;
-  // Apply the mid-window reconfig on the middle switch.
-  bool reconfig = true;
 };
 
 // One seeded run: same topology, same traffic stream, same mid-window
-// reconfig; only the transport path (batched vs unbundled scalar vs
-// sharded workers) differs.
+// reconfig; only the transport path (batched vs unbundled scalar)
+// differs.
 RunOutcome RunArchetype(Archetype archetype, std::uint64_t seed,
                         const RunConfig& config) {
   sim::Simulator sim;
   net::Network network(&sim);
   network.set_batching_enabled(config.batching);
   const net::LinearTopology topo = net::BuildLinear(network, 3);
-  if (config.sharded_workers > 0) {
-    net::ShardingConfig sharding;
-    sharding.workers = config.sharded_workers;
-    network.ConfigureSharding(sharding);
-  }
 
   RunOutcome out;
   network.SetDeliverySink([&](const net::DeliveryRecord& rec) {
@@ -286,22 +254,18 @@ RunOutcome RunArchetype(Archetype archetype, std::uint64_t seed,
 
   // Mid-window reconfiguration on the middle switch: in-flight bursts
   // straddle the epoch bump (the batch is mid-path when the program
-  // changes), which must replay identically on the scalar oracle.  Under
-  // sharding the ApplyStep additionally exercises the reconfig fence.
-  if (config.reconfig) {
-    runtime::ManagedDevice* mid = network.Find(topo.switches[1]);
-    sim.Schedule(window / 2, [mid]() {
-      runtime::StepAddTable add;
-      add.decl.name = "diff_acl";
-      add.decl.key = {{"ipv4.src", dataplane::MatchKind::kExact, 32}};
-      add.decl.capacity = 16;
-      ASSERT_TRUE(mid->ApplyStep(add).ok());
-      mid->device().pipeline().BumpEpoch();  // reflash-style invalidation
-    });
-  }
+  // changes), which must replay identically on the scalar oracle.
+  runtime::ManagedDevice* mid = network.Find(topo.switches[1]);
+  sim.Schedule(window / 2, [mid]() {
+    runtime::StepAddTable add;
+    add.decl.name = "diff_acl";
+    add.decl.key = {{"ipv4.src", dataplane::MatchKind::kExact, 32}};
+    add.decl.capacity = 16;
+    ASSERT_TRUE(mid->ApplyStep(add).ok());
+    mid->device().pipeline().BumpEpoch();  // reflash-style invalidation
+  });
 
   sim.Run();
-  network.FlushShards();
   const net::NetworkStats& stats = network.stats();
   out.injected = stats.injected;
   out.dropped = stats.dropped;
@@ -341,80 +305,6 @@ TEST(BatchDifferentialTest, BatchOfOneIsEventForEventScalar) {
   EXPECT_EQ(one.delivered, scalar.delivered);
   // A batch of 1 forms groups of 1: nothing saved, nothing lost.
   EXPECT_EQ(one.events_saved, 0u);
-}
-
-// --- Sharded data plane vs the scalar oracle -------------------------------
-//
-// The flow-sharded worker plane (src/net/shard.h) runs each packet's whole
-// journey to completion in virtual time on a flow-affine worker.  Without a
-// mid-window reconfig the program image is constant, so its delivery
-// records must be IDENTICAL to the event-driven oracle — timestamps,
-// latencies, signatures, hop counts, drop accounting, everything.
-TEST(ShardedDifferentialTest, ShardedMatchesScalarExactlyWithoutReconfig) {
-  for (const Archetype archetype :
-       {Archetype::kCbr, Archetype::kSynFlood, Archetype::kMix}) {
-    for (const std::uint64_t seed : {3ULL, 1234ULL}) {
-      const RunOutcome scalar = RunArchetype(
-          archetype, seed, RunConfig{.sharded_workers = 0, .reconfig = false});
-      const RunOutcome sharded = RunArchetype(
-          archetype, seed, RunConfig{.sharded_workers = 4, .reconfig = false});
-      EXPECT_EQ(sharded.injected, scalar.injected);
-      EXPECT_EQ(sharded.dropped, scalar.dropped);
-      EXPECT_EQ(sharded.drops_by_reason, scalar.drops_by_reason);
-      EXPECT_EQ(sharded.delivered, scalar.delivered)
-          << "archetype " << static_cast<int>(archetype) << " seed " << seed;
-      EXPECT_GT(sharded.injected, 0u);
-    }
-  }
-}
-
-// With a mid-window reconfig the two planes legitimately diverge on
-// *straddlers* — packets in flight at the reconfig instant.  The
-// event-driven oracle interleaves hops with the program update (later hops
-// see the new program); the run-to-completion worker front-runs sim time,
-// so a straddler finishes under the snapshot it was injected with.  Both
-// behaviors satisfy the version-window invariant; the contract worth
-// pinning is:
-//   * identical delivered-id set and identical drop accounting, and
-//   * FULL record identity for every non-straddler, and
-//   * content signature + hop count identity even for straddlers (the
-//     snapshot may change modeled latency, never packet contents or path).
-TEST(ShardedDifferentialTest, MidWindowReconfigDivergesOnlyOnStraddlers) {
-  const SimTime reconfig_at = (4 * kMillisecond) / 2;  // RunArchetype's T
-  std::size_t straddlers = 0;
-  for (const Archetype archetype : {Archetype::kCbr, Archetype::kMix}) {
-    for (const std::uint64_t seed : {3ULL, 99ULL}) {
-      const RunOutcome scalar = RunArchetype(
-          archetype, seed, RunConfig{.sharded_workers = 0, .reconfig = true});
-      const RunOutcome sharded = RunArchetype(
-          archetype, seed, RunConfig{.sharded_workers = 4, .reconfig = true});
-      EXPECT_EQ(sharded.injected, scalar.injected);
-      EXPECT_EQ(sharded.dropped, scalar.dropped);
-      EXPECT_EQ(sharded.drops_by_reason, scalar.drops_by_reason);
-      ASSERT_EQ(sharded.delivered.size(), scalar.delivered.size());
-
-      for (const auto& [id, want] : scalar.delivered) {
-        const auto it = sharded.delivered.find(id);
-        ASSERT_NE(it, sharded.delivered.end()) << "id " << id;
-        const DeliveredInfo& got = it->second;
-        const bool straddler =
-            want.created_at <= reconfig_at &&
-            (want.delivered_at > reconfig_at ||
-             got.delivered_at > reconfig_at);
-        EXPECT_EQ(got.created_at, want.created_at) << "id " << id;
-        EXPECT_EQ(got.signature, want.signature) << "id " << id;
-        EXPECT_EQ(got.hops, want.hops) << "id " << id;
-        if (straddler) {
-          ++straddlers;
-        } else {
-          EXPECT_EQ(got, want) << "non-straddler id " << id;
-        }
-      }
-    }
-  }
-  // The sweep actually produced in-flight packets at the fence; if not,
-  // this test degenerates to the exact-identity one above.
-  EXPECT_GT(straddlers, 0u);
 }
 
 // --- Satellite regression: final-delivery path moves the packet -----------

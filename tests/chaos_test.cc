@@ -45,30 +45,6 @@ INSTANTIATE_TEST_SUITE_P(
           ArchFlag(AllArchKinds()[static_cast<std::size_t>(info.param)]));
     });
 
-// Chaos fire over the sharded data plane: reconfig fences, per-worker
-// cache partitions, and canonical delivery merge must keep every
-// invariant the scalar schedule holds.  Determinism matters doubly here —
-// the sharded run must also be seed-for-seed stable.
-TEST(ChaosSharded, ScheduleHoldsInvariantsOverShardedWorkers) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    ChaosConfig config;
-    config.arch = arch::ArchKind::kDrmt;
-    config.seed = seed;
-    config.sharded_workers = 4;
-    const ChaosReport report = RunChaosSchedule(config);
-    EXPECT_TRUE(report.ok())
-        << ToText(report) << "\nrepro: " << ReproCommand(config);
-    EXPECT_GT(report.packets_checked, 0u) << "seed " << seed;
-    EXPECT_GT(report.faults_injected, 0u) << "seed " << seed;
-
-    const ChaosReport again = RunChaosSchedule(config);
-    EXPECT_EQ(report.packets_injected, again.packets_injected);
-    EXPECT_EQ(report.packets_delivered, again.packets_delivered);
-    EXPECT_EQ(report.packets_dropped, again.packets_dropped);
-    EXPECT_EQ(report.packets_checked, again.packets_checked);
-  }
-}
-
 TEST(ChaosDeterminism, SameSeedIdenticalReport) {
   ChaosConfig config;
   config.arch = arch::ArchKind::kTile;

@@ -1,6 +1,6 @@
 // Fast-path coverage: ternary/range priority ordering, the randomized
 // differential check of the indexed lookup against the retained reference
-// scan, and microflow-cache invalidation across every mutation source
+// scan, and flow-cache invalidation across every mutation source
 // (entry churn, table moves, default actions, parser edits, reflash).
 #include <gtest/gtest.h>
 
@@ -146,7 +146,7 @@ TEST(DifferentialTest, IndexedLookupAgreesWithReferenceUnderChurn) {
   }
 }
 
-// --- Satellite: microflow cache invalidation ---
+// --- Satellite: flow cache invalidation ---
 
 TEST(FlowCacheTest, SecondPacketOfAFlowHitsTheCache) {
   Pipeline pl;
@@ -158,13 +158,13 @@ TEST(FlowCacheTest, SecondPacketOfAFlowHitsTheCache) {
   ASSERT_TRUE(t->AddEntry(e).ok());
 
   packet::Packet p1 = TcpPkt(1);
-  EXPECT_FALSE(pl.Process(p1, 0).flow_cache_hit);
+  EXPECT_FALSE(pl.Process(p1, 0).megaflow_hit);
   EXPECT_EQ(p1.egress_port, 7u);
   packet::Packet p2 = TcpPkt(1);
-  EXPECT_TRUE(pl.Process(p2, 0).flow_cache_hit);
+  EXPECT_TRUE(pl.Process(p2, 0).megaflow_hit);
   EXPECT_EQ(p2.egress_port, 7u);
-  EXPECT_EQ(pl.flow_cache_hits(), 1u);
-  EXPECT_EQ(pl.flow_cache_misses(), 1u);
+  EXPECT_EQ(pl.megaflow_hits(), 1u);
+  EXPECT_EQ(pl.megaflow_misses(), 1u);
 }
 
 TEST(FlowCacheTest, AddEntryInvalidatesAndReResolves) {
@@ -175,7 +175,7 @@ TEST(FlowCacheTest, AddEntryInvalidatesAndReResolves) {
   (void)pl.Process(warm, 0);
   EXPECT_EQ(warm.egress_port, 0u);  // default nop
   packet::Packet hit = TcpPkt(2);
-  EXPECT_TRUE(pl.Process(hit, 0).flow_cache_hit);
+  EXPECT_TRUE(pl.Process(hit, 0).megaflow_hit);
 
   TableEntry e;
   e.match = {MatchValue::Exact(2)};
@@ -184,10 +184,10 @@ TEST(FlowCacheTest, AddEntryInvalidatesAndReResolves) {
 
   packet::Packet after = TcpPkt(2);
   const PipelineResult r = pl.Process(after, 0);
-  EXPECT_FALSE(r.flow_cache_hit);  // epoch bump voided the memoized steps
+  EXPECT_FALSE(r.megaflow_hit);  // epoch bump voided the memoized steps
   EXPECT_EQ(after.egress_port, 9u);
   packet::Packet again = TcpPkt(2);
-  EXPECT_TRUE(pl.Process(again, 0).flow_cache_hit);
+  EXPECT_TRUE(pl.Process(again, 0).megaflow_hit);
   EXPECT_EQ(again.egress_port, 9u);
 }
 
@@ -205,7 +205,7 @@ TEST(FlowCacheTest, RemoveEntriesInvalidatesAndReResolves) {
 
   EXPECT_EQ(t->RemoveEntries({MatchValue::Exact(3)}), 1u);
   packet::Packet after = TcpPkt(3);
-  EXPECT_FALSE(pl.Process(after, 0).flow_cache_hit);
+  EXPECT_FALSE(pl.Process(after, 0).megaflow_hit);
   EXPECT_EQ(after.egress_port, 0u);  // back to the default action
 }
 
@@ -228,11 +228,11 @@ TEST(FlowCacheTest, MoveTableInvalidatesAndReordersExecution) {
   (void)pl.Process(warm, 0);
   EXPECT_EQ(warm.egress_port, 2u);  // b ran last
   packet::Packet hit = TcpPkt(4);
-  EXPECT_TRUE(pl.Process(hit, 0).flow_cache_hit);
+  EXPECT_TRUE(pl.Process(hit, 0).megaflow_hit);
 
   ASSERT_TRUE(pl.MoveTable("b", 0).ok());
   packet::Packet after = TcpPkt(4);
-  EXPECT_FALSE(pl.Process(after, 0).flow_cache_hit);
+  EXPECT_FALSE(pl.Process(after, 0).megaflow_hit);
   EXPECT_EQ(after.egress_port, 1u);  // a runs last now
 }
 
@@ -250,7 +250,7 @@ TEST(FlowCacheTest, RemoveTableInvalidates) {
 
   ASSERT_TRUE(pl.RemoveTable("fwd").ok());
   packet::Packet after = TcpPkt(5);
-  EXPECT_FALSE(pl.Process(after, 0).flow_cache_hit);
+  EXPECT_FALSE(pl.Process(after, 0).megaflow_hit);
   EXPECT_EQ(after.egress_port, 0u);
 }
 
@@ -262,27 +262,27 @@ TEST(FlowCacheTest, DefaultActionChangeInvalidates) {
   (void)pl.Process(warm, 0);
   t->SetDefaultAction(MakeForwardAction(8));
   packet::Packet after = TcpPkt(6);
-  EXPECT_FALSE(pl.Process(after, 0).flow_cache_hit);
+  EXPECT_FALSE(pl.Process(after, 0).megaflow_hit);
   EXPECT_EQ(after.egress_port, 8u);
 }
 
 TEST(FlowCacheTest, ParserMutationInvalidatesMemoizedVerdicts) {
   // Needs at least one table: table-less pipelines bypass the cache (the
-  // signature hash would cost more than the parse it memoizes).
+  // probe would cost more than the parse it memoizes).
   Pipeline pl;
   ASSERT_TRUE(pl.AddTable("fwd", {{"ipv4.src", MatchKind::kExact, 32}}, 16)
                   .ok());
   packet::Packet warm = TcpPkt(7);
   EXPECT_FALSE(pl.Process(warm, 0).dropped);
   packet::Packet hit = TcpPkt(7);
-  EXPECT_TRUE(pl.Process(hit, 0).flow_cache_hit);
+  EXPECT_TRUE(pl.Process(hit, 0).megaflow_hit);
 
   // Unwiring eth's IPv4 transition makes the same packet unparseable
   // (no transition, no default); the memoized accept must not survive.
   ASSERT_TRUE(pl.parser().RemoveTransition("eth", 0x0800).ok());
   packet::Packet after = TcpPkt(7);
   const PipelineResult r = pl.Process(after, 0);
-  EXPECT_FALSE(r.flow_cache_hit);
+  EXPECT_FALSE(r.megaflow_hit);
   EXPECT_TRUE(r.dropped);
   EXPECT_TRUE(after.dropped());
 }
@@ -301,7 +301,7 @@ TEST(FlowCacheTest, RuntimeReflashInvalidates) {
   dev.Process(warm, sim.now());
   packet::Packet hit = TcpPkt(8);
   dev.Process(hit, sim.now());
-  EXPECT_EQ(pl.flow_cache_hits(), 1u);
+  EXPECT_EQ(pl.megaflow_hits(), 1u);
 
   // Drain-reflash a program that drops src=8.
   flexbpf::TableDecl t;
@@ -321,11 +321,11 @@ TEST(FlowCacheTest, RuntimeReflashInvalidates) {
   engine.ApplyDrain(dev, plan);
   sim.Run();
 
-  const std::uint64_t hits_before = pl.flow_cache_hits();
+  const std::uint64_t hits_before = pl.megaflow_hits();
   packet::Packet after = TcpPkt(8);
   dev.Process(after, sim.now());
   EXPECT_TRUE(after.dropped());  // re-resolved against the new program
-  EXPECT_EQ(pl.flow_cache_hits(), hits_before);
+  EXPECT_EQ(pl.megaflow_hits(), hits_before);
 }
 
 TEST(FlowCacheTest, MeterActionsAreNeverCached) {
@@ -339,10 +339,10 @@ TEST(FlowCacheTest, MeterActionsAreNeverCached) {
   ASSERT_TRUE(t->AddEntry(e).ok());
 
   packet::Packet p1 = TcpPkt(9);
-  EXPECT_FALSE(pl.Process(p1, 0).flow_cache_hit);
+  EXPECT_FALSE(pl.Process(p1, 0).megaflow_hit);
   packet::Packet p2 = TcpPkt(9);
-  EXPECT_FALSE(pl.Process(p2, 0).flow_cache_hit);
-  EXPECT_EQ(pl.flow_cache_misses(), 2u);
+  EXPECT_FALSE(pl.Process(p2, 0).megaflow_hit);
+  EXPECT_EQ(pl.megaflow_misses(), 2u);
 }
 
 TEST(FlowCacheTest, CachedHitsKeepLookupAndHitAccounting) {
@@ -372,7 +372,7 @@ TEST(FlowCacheTest, CachedHitsKeepLookupAndHitAccounting) {
   EXPECT_EQ(ct->lookups(), ut->lookups());
   EXPECT_EQ(ct->hits(), ut->hits());
   EXPECT_EQ(ct->entries()[0].hit_count, ut->entries()[0].hit_count);
-  EXPECT_GT(cached.flow_cache_hits(), 0u);
+  EXPECT_GT(cached.megaflow_hits(), 0u);
 }
 
 // --- Satellite: telemetry counters reach ExportJson ---
@@ -393,9 +393,7 @@ TEST(FastPathMetricsTest, PublishMetricsExportsAllCounters) {
   pl.PublishMetrics(registry);
   const std::string json = telemetry::ExportJson(registry, "fastpath");
   for (const char* name :
-       {"dataplane_flowcache_hits", "dataplane_flowcache_misses",
-        "dataplane_flowcache_invalidations", "dataplane_flowcache_evictions",
-        "dataplane_flowcache_stale_reclaimed", "dataplane_megaflow_hits",
+       {"dataplane_flowcache_invalidations", "dataplane_megaflow_hits",
         "dataplane_megaflow_misses", "dataplane_megaflow_evictions",
         "dataplane_megaflow_stale_reclaimed", "dataplane_megaflow_size",
         "dataplane_megaflow_masks", "table_lookup_indexed",

@@ -411,6 +411,12 @@ struct BinOpCase {
   std::uint64_t a, b, expected;
 };
 
+// gtest names the case by its printed value; print the fields, never the
+// struct's raw bytes (padding would make the name change per build).
+void PrintTo(const BinOpCase& c, std::ostream* os) {
+  *os << ToString(c.op) << '_' << c.a << '_' << c.b << '_' << c.expected;
+}
+
 class BinOpParamTest : public ::testing::TestWithParam<BinOpCase> {};
 
 TEST_P(BinOpParamTest, Computes) {
@@ -448,6 +454,11 @@ struct CmpCase {
   std::uint64_t a, b;
   bool taken;
 };
+
+void PrintTo(const CmpCase& c, std::ostream* os) {
+  *os << ToString(c.cmp) << '_' << c.a << '_' << c.b << '_'
+      << (c.taken ? "taken" : "not_taken");
+}
 
 class CmpParamTest : public ::testing::TestWithParam<CmpCase> {};
 

@@ -1,16 +1,20 @@
-// Flow-cache eviction + megaflow tier regression coverage.
+// Megaflow cache eviction and wildcard regression coverage.
 //
-// The bugs pinned here: the old cache handled overflow by silently
-// clearing the whole microflow map (hot flows paid a re-resolve storm and
-// telemetry showed nothing), and dead-epoch entries were never reclaimed
-// (live flows paid eviction pressure for corpses).  Now overflow runs
-// CLOCK per tier, clears count as evictions, stale entries are reclaimed
-// on probe and by a once-per-epoch sweep, and a wildcard megaflow tier
-// covers whole prefixes with one entry.
+// The bugs pinned here: an early cache handled overflow by silently
+// clearing the whole map (hot flows paid a re-resolve storm and telemetry
+// showed nothing), and dead-epoch entries were never reclaimed (live flows
+// paid eviction pressure for corpses).  Now overflow runs CLOCK, clears
+// count as evictions, stale entries are reclaimed on probe and by a
+// once-per-epoch sweep, and one wildcard entry covers a whole prefix.  An
+// exact-key table makes every distinct key its own entry, which is how the
+// CLOCK tests below put the cache under per-flow pressure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "common/rng.h"
 #include "dataplane/pipeline.h"
 #include "packet/packet.h"
 #include "telemetry/telemetry.h"
@@ -39,8 +43,7 @@ MatchActionTable* AddExactSrcTable(Pipeline& pl, std::uint32_t port = 7) {
 
 TEST(FlowCacheEvictionTest, HotFlowsSurviveMousePressure) {
   Pipeline pl;
-  pl.set_megaflow_enabled(false);  // isolate the microflow tier
-  pl.set_flow_cache_cap(64);
+  pl.set_megaflow_cap(64);
   AddExactSrcTable(pl);
 
   constexpr std::uint64_t kHotBase = 1000;
@@ -61,77 +64,74 @@ TEST(FlowCacheEvictionTest, HotFlowsSurviveMousePressure) {
     packet::Packet hot = FlowPkt(kHotBase + (m % kHot));
     if (m >= 500) {  // past the warm-up transient
       ++hot_refs;
-      if (pl.Process(hot, 0).flow_cache_hit) ++hot_hits;
+      if (pl.Process(hot, 0).megaflow_hit) ++hot_hits;
     } else {
       (void)pl.Process(hot, 0);
     }
   }
-  EXPECT_GT(pl.flow_cache_evictions(), 500u);  // mice churned through
+  EXPECT_GT(pl.megaflow_evictions(), 500u);  // mice churned through
   EXPECT_GE(hot_hits, hot_refs * 9 / 10) << hot_hits << "/" << hot_refs;
   // Steady state: every hot flow is still resident.
   for (int h = 0; h < kHot; ++h) {
     packet::Packet p = FlowPkt(kHotBase + h);
-    EXPECT_TRUE(pl.Process(p, 0).flow_cache_hit) << "hot flow " << h;
+    EXPECT_TRUE(pl.Process(p, 0).megaflow_hit) << "hot flow " << h;
   }
-  EXPECT_EQ(pl.flow_cache_size(), 64u);
+  EXPECT_EQ(pl.megaflow_size(), 64u);
 }
 
 // --- Eviction accounting: every removal shows up in the counters ---
 
 TEST(FlowCacheEvictionTest, EvictionCountersMatchObservedRemovals) {
   Pipeline pl;
-  pl.set_megaflow_enabled(false);
-  pl.set_flow_cache_cap(32);
+  pl.set_megaflow_cap(32);
   AddExactSrcTable(pl);
 
   for (int i = 0; i < 100; ++i) {
     packet::Packet p = FlowPkt(5000 + i);
     (void)pl.Process(p, 0);
   }
-  EXPECT_EQ(pl.flow_cache_size(), 32u);
-  EXPECT_EQ(pl.flow_cache_evictions(), 68u);  // 100 installs - 32 resident
+  EXPECT_EQ(pl.megaflow_size(), 32u);
+  EXPECT_EQ(pl.megaflow_evictions(), 68u);  // 100 installs - 32 resident
 
-  // Disabling the tier is a wholesale clear; the regression was that such
+  // Disabling the cache is a wholesale clear; the regression was that such
   // clears were invisible in telemetry.  They count as evictions now.
   pl.set_flow_cache_enabled(false);
-  EXPECT_EQ(pl.flow_cache_size(), 0u);
-  EXPECT_EQ(pl.flow_cache_evictions(), 100u);
+  EXPECT_EQ(pl.megaflow_size(), 0u);
+  EXPECT_EQ(pl.megaflow_evictions(), 100u);
 
   telemetry::MetricsRegistry registry;
   pl.PublishMetrics(registry);
-  EXPECT_EQ(registry.CounterNamed("dataplane_flowcache_evictions").value(),
-            pl.flow_cache_evictions());
+  EXPECT_EQ(registry.CounterNamed("dataplane_megaflow_evictions").value(),
+            pl.megaflow_evictions());
   EXPECT_EQ(
       registry.CounterNamed("dataplane_flowcache_invalidations").value(),
-      pl.flow_cache_invalidations());
+      pl.epoch());
 }
 
 TEST(FlowCacheEvictionTest, CapShrinkEvictsDownAndCounts) {
   Pipeline pl;
-  pl.set_megaflow_enabled(false);
   AddExactSrcTable(pl);
   for (int i = 0; i < 20; ++i) {
     packet::Packet p = FlowPkt(6000 + i);
     (void)pl.Process(p, 0);
   }
-  EXPECT_EQ(pl.flow_cache_size(), 20u);
-  pl.set_flow_cache_cap(4);
-  EXPECT_EQ(pl.flow_cache_size(), 4u);
-  EXPECT_EQ(pl.flow_cache_evictions(), 16u);
+  EXPECT_EQ(pl.megaflow_size(), 20u);
+  pl.set_megaflow_cap(4);
+  EXPECT_EQ(pl.megaflow_size(), 4u);
+  EXPECT_EQ(pl.megaflow_evictions(), 16u);
 }
 
 // --- Stale-epoch reclamation: live flows never pay for dead ones ---
 
 TEST(FlowCacheEvictionTest, StaleEpochEntriesReclaimedNotEvicted) {
   Pipeline pl;
-  pl.set_megaflow_enabled(false);
-  pl.set_flow_cache_cap(16);
+  pl.set_megaflow_cap(16);
   auto* t = AddExactSrcTable(pl);
   for (int i = 0; i < 16; ++i) {
     packet::Packet p = FlowPkt(7000 + i);
     (void)pl.Process(p, 0);
   }
-  EXPECT_EQ(pl.flow_cache_size(), 16u);
+  EXPECT_EQ(pl.megaflow_size(), 16u);
 
   // Epoch bump: every resident entry is now a dead-epoch corpse.
   TableEntry e;
@@ -141,8 +141,8 @@ TEST(FlowCacheEvictionTest, StaleEpochEntriesReclaimedNotEvicted) {
 
   // Probing a dead entry reclaims it on the spot.
   packet::Packet repeat = FlowPkt(7000);
-  EXPECT_FALSE(pl.Process(repeat, 0).flow_cache_hit);
-  EXPECT_EQ(pl.flow_cache_stale_reclaimed(), 1u);
+  EXPECT_FALSE(pl.Process(repeat, 0).megaflow_hit);
+  EXPECT_EQ(pl.megaflow_stale_reclaimed(), 1u);
 
   // Refill with fresh flows: the at-cap insert sweeps the remaining
   // corpses instead of CLOCK-evicting live flows.  The regression was
@@ -152,15 +152,15 @@ TEST(FlowCacheEvictionTest, StaleEpochEntriesReclaimedNotEvicted) {
     packet::Packet p = FlowPkt(7000 + i);
     (void)pl.Process(p, 0);
   }
-  EXPECT_EQ(pl.flow_cache_stale_reclaimed(), 16u);
-  EXPECT_EQ(pl.flow_cache_evictions(), 0u);
-  EXPECT_EQ(pl.flow_cache_size(), 16u);
+  EXPECT_EQ(pl.megaflow_stale_reclaimed(), 16u);
+  EXPECT_EQ(pl.megaflow_evictions(), 0u);
+  EXPECT_EQ(pl.megaflow_size(), 16u);
   // Every fresh flow survived the refill.
   packet::Packet again = FlowPkt(7000);
-  EXPECT_TRUE(pl.Process(again, 0).flow_cache_hit);
+  EXPECT_TRUE(pl.Process(again, 0).megaflow_hit);
   for (int i = 16; i < 31; ++i) {
     packet::Packet p = FlowPkt(7000 + i);
-    EXPECT_TRUE(pl.Process(p, 0).flow_cache_hit) << "fresh flow " << i;
+    EXPECT_TRUE(pl.Process(p, 0).megaflow_hit) << "fresh flow " << i;
   }
 }
 
@@ -168,7 +168,6 @@ TEST(FlowCacheEvictionTest, StaleEpochEntriesReclaimedNotEvicted) {
 
 TEST(MegaflowTest, WildcardEntryCoversUnseenFlowsInPrefix) {
   Pipeline pl;
-  pl.set_microflow_enabled(false);  // isolate the megaflow tier
   auto* route = pl.AddTable("route", {{"ipv4.dst", MatchKind::kLpm, 32}}, 8)
                     .value();
   TableEntry e;
@@ -186,10 +185,8 @@ TEST(MegaflowTest, WildcardEntryCoversUnseenFlowsInPrefix) {
   packet::Packet second = FlowPkt(222, 0x0a000055, 2222, 80);
   const PipelineResult r2 = pl.Process(second, 0);
   EXPECT_TRUE(r2.megaflow_hit);
-  EXPECT_FALSE(r2.flow_cache_hit);
   EXPECT_EQ(second.egress_port, 3u);
   EXPECT_EQ(pl.megaflow_hits(), 1u);
-  EXPECT_EQ(pl.flow_cache_hits(), 0u);
   EXPECT_EQ(pl.megaflow_size(), 1u);
 
   // The miss region is cacheable too: dsts outside the /24 share their
@@ -204,7 +201,6 @@ TEST(MegaflowTest, WildcardEntryCoversUnseenFlowsInPrefix) {
 
 TEST(MegaflowTest, TableMutationInvalidatesMegaflows) {
   Pipeline pl;
-  pl.set_microflow_enabled(false);
   auto* route = pl.AddTable("route", {{"ipv4.dst", MatchKind::kLpm, 32}}, 8)
                     .value();
   TableEntry wide;
@@ -235,7 +231,6 @@ TEST(MegaflowTest, TableMutationInvalidatesMegaflows) {
 
 TEST(MegaflowTest, ParseRejectIsCachedAsWildcard) {
   Pipeline pl;
-  pl.set_microflow_enabled(false);
   ASSERT_TRUE(pl.AddTable("fwd", {{"ipv4.src", MatchKind::kExact, 32}}, 16)
                   .ok());
   // Unwire eth -> ipv4: every TCP packet now fails to parse.  The reject
@@ -265,17 +260,14 @@ TEST(MegaflowTest, MeterFlowsUncacheableInBothTiers) {
   for (int i = 0; i < 2; ++i) {
     packet::Packet p = FlowPkt(9);
     const PipelineResult r = pl.Process(p, 0);
-    EXPECT_FALSE(r.flow_cache_hit);
     EXPECT_FALSE(r.megaflow_hit);
   }
-  EXPECT_EQ(pl.flow_cache_misses(), 2u);
   EXPECT_EQ(pl.megaflow_misses(), 2u);
   EXPECT_EQ(pl.megaflow_size(), 0u);
 }
 
 TEST(MegaflowTest, MegaflowCapEvictsAndPublishes) {
   Pipeline pl;
-  pl.set_microflow_enabled(false);
   pl.set_megaflow_cap(8);
   // Exact dst key: the consulted mask is full-width, so every distinct
   // dst is its own megaflow — capacity pressure on the mega tier.
@@ -307,27 +299,121 @@ TEST(MegaflowTest, MasterSwitchClearsAndDisablesBothTiers) {
     packet::Packet p = FlowPkt(100 + i);
     (void)pl.Process(p, 0);
   }
-  EXPECT_GT(pl.flow_cache_size(), 0u);
   EXPECT_GT(pl.megaflow_size(), 0u);
-  const std::uint64_t micro_resident = pl.flow_cache_size();
-  const std::uint64_t mega_resident = pl.megaflow_size();
+  const std::uint64_t resident = pl.megaflow_size();
 
   pl.set_flow_cache_enabled(false);
-  EXPECT_EQ(pl.flow_cache_size(), 0u);
   EXPECT_EQ(pl.megaflow_size(), 0u);
-  EXPECT_EQ(pl.flow_cache_evictions(), micro_resident);
-  EXPECT_EQ(pl.megaflow_evictions(), mega_resident);
+  EXPECT_EQ(pl.megaflow_evictions(), resident);
   packet::Packet p = FlowPkt(100);
   const PipelineResult r = pl.Process(p, 0);
-  EXPECT_FALSE(r.flow_cache_hit);
   EXPECT_FALSE(r.megaflow_hit);
-  EXPECT_EQ(pl.flow_cache_size(), 0u);
+  EXPECT_EQ(pl.megaflow_size(), 0u);
 
   pl.set_flow_cache_enabled(true);
   packet::Packet w = FlowPkt(100);
   (void)pl.Process(w, 0);
   packet::Packet h = FlowPkt(100);
-  EXPECT_TRUE(pl.Process(h, 0).flow_cache_hit);
+  EXPECT_TRUE(pl.Process(h, 0).megaflow_hit);
+}
+
+// --- Wildcard-shape overflow: the restart stays bounded and sound ---
+
+// Ternary and LPM masks widen as entries land, so every churn step can
+// give resolutions a new consulted shape.  Past kMaxMegaflowMasks (32)
+// shapes the cache restarts; the restart must count what it cleared as
+// evictions, the shape list must never exceed the bound, and every
+// outcome must still equal the caches-off reference scan.
+TEST(MegaflowTest, ShapeOverflowRestartsAndMatchesOracle) {
+  Pipeline cached;
+  Pipeline oracle;
+  oracle.set_flow_cache_enabled(false);
+  for (Pipeline* pl : {&cached, &oracle}) {
+    ASSERT_TRUE(
+        pl->AddTable("acl", {{"ipv4.src", MatchKind::kTernary, 32}}, 256)
+            .ok());
+    ASSERT_TRUE(
+        pl->AddTable("route", {{"ipv4.dst", MatchKind::kLpm, 32}}, 256).ok());
+  }
+  oracle.ForceReferenceScan(true);
+
+  Rng rng(0x5a4e5ULL);
+  std::vector<std::vector<MatchValue>> live[2];  // acl, route
+  std::size_t max_masks = 0;
+  std::uint64_t restarts = 0;
+  std::uint64_t cleared = 0;
+  for (int round = 0; round < 400; ++round) {
+    // Churn: mostly adds — each a ternary mask bit or an LPM prefix length
+    // the consulted union may not have seen yet — with removals that
+    // narrow the union again.
+    const int ti = round % 2;
+    const char* table = ti == 0 ? "acl" : "route";
+    if (!live[ti].empty() && rng.NextBounded(4) == 0) {
+      const std::vector<MatchValue> victim =
+          live[ti][rng.NextBounded(live[ti].size())];
+      EXPECT_EQ(cached.FindTable(table)->RemoveEntries(victim),
+                oracle.FindTable(table)->RemoveEntries(victim));
+      live[ti].erase(std::remove(live[ti].begin(), live[ti].end(), victim),
+                     live[ti].end());
+    } else {
+      TableEntry e;
+      if (ti == 0) {
+        const std::uint64_t bit = 1ULL << rng.NextBounded(32);
+        e.match = {MatchValue::Ternary(rng.NextU64() & bit, bit)};
+        e.priority = static_cast<std::int32_t>(rng.NextBounded(8));
+      } else {
+        const auto len = static_cast<std::uint32_t>(1 + rng.NextBounded(32));
+        e.match = {MatchValue::Lpm(rng.NextU64() & 0xffffffffULL, len, 32)};
+      }
+      e.action = rng.NextBounded(5) == 0
+                     ? MakeDropAction("churn")
+                     : MakeForwardAction(static_cast<std::uint32_t>(
+                           1 + rng.NextBounded(30)));
+      live[ti].push_back(e.match);
+      ASSERT_TRUE(cached.FindTable(table)->AddEntry(e).ok());
+      ASSERT_TRUE(oracle.FindTable(table)->AddEntry(e).ok());
+    }
+
+    for (int probe = 0; probe < 6; ++probe) {
+      const std::uint64_t src = rng.NextU64() & 0xffffffffULL;
+      const std::uint64_t dst = rng.NextU64() & 0xffffffffULL;
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        packet::Packet a = FlowPkt(src, dst);
+        packet::Packet b = a;
+        const std::size_t size_before = cached.megaflow_size();
+        const std::size_t masks_before = cached.megaflow_mask_count();
+        const std::uint64_t evictions_before = cached.megaflow_evictions();
+        const std::uint64_t stale_before = cached.megaflow_stale_reclaimed();
+        const PipelineResult ra = cached.Process(a, 0);
+        const PipelineResult rb = oracle.Process(b, 0);
+        ASSERT_EQ(ra.dropped, rb.dropped) << "round " << round;
+        ASSERT_EQ(a.egress_port, b.egress_port) << "round " << round;
+        ASSERT_EQ(a.ContentSignature(), b.ContentSignature());
+        max_masks = std::max(max_masks, cached.megaflow_mask_count());
+        if (cached.megaflow_mask_count() < masks_before) {
+          // A restart: every entry the probe left resident was cleared and
+          // counted as an eviction, then the new flow's entry landed alone.
+          ++restarts;
+          EXPECT_EQ(masks_before, 32u);
+          EXPECT_EQ(cached.megaflow_mask_count(), 1u);
+          EXPECT_EQ(cached.megaflow_size(), 1u);
+          EXPECT_EQ(cached.megaflow_evictions() - evictions_before +
+                        cached.megaflow_stale_reclaimed() - stale_before,
+                    size_before);
+          cleared += cached.megaflow_evictions() - evictions_before;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(max_masks, 32u);  // the bound was reached, never exceeded
+  EXPECT_GT(restarts, 0u);
+  EXPECT_GT(cleared, 0u);
+  EXPECT_GT(cached.megaflow_hits(), 0u);
+  for (const char* table : {"acl", "route"}) {
+    EXPECT_EQ(cached.FindTable(table)->lookups(),
+              oracle.FindTable(table)->lookups());
+    EXPECT_EQ(cached.FindTable(table)->hits(), oracle.FindTable(table)->hits());
+  }
 }
 
 }  // namespace

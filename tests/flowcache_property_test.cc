@@ -36,9 +36,7 @@ struct PipelinePair {
   Pipeline cached;
   Pipeline oracle;
 
-  void Build(bool micro_on, bool mega_on) {
-    cached.set_microflow_enabled(micro_on);
-    cached.set_megaflow_enabled(mega_on);
+  void Build() {
     oracle.set_flow_cache_enabled(false);
     for (Pipeline* pl : {&cached, &oracle}) {
       ASSERT_TRUE(pl->AddTable("acl",
@@ -79,9 +77,9 @@ MatchValue RandomAclSrc(Rng& rng) {
   }
 }
 
-void RunChurnProperty(bool micro_on, bool mega_on) {
+TEST(FlowCachePropertyTest, MegaflowOnlyMatchesReferenceOracleUnderChurn) {
   PipelinePair pair;
-  pair.Build(micro_on, mega_on);
+  pair.Build();
   if (::testing::Test::HasFatalFailure()) return;
 
   Rng rng(0xcac4e5eedULL);
@@ -157,7 +155,7 @@ void RunChurnProperty(bool micro_on, bool mega_on) {
     }
 
     // Each flow is probed twice back-to-back: the first Process memoizes,
-    // the second replays from a cache tier — so a stale memo would be
+    // the second replays from the cache — so a stale memo would be
     // *used*, not just stored, and divergence surfaces immediately.
     for (int probe = 0; probe < 3; ++probe) {
       const std::uint64_t src = rng.NextBounded(8);
@@ -171,13 +169,11 @@ void RunChurnProperty(bool micro_on, bool mega_on) {
         EXPECT_EQ(a.egress_port, b.egress_port) << "round " << round;
         EXPECT_EQ(a.dropped(), b.dropped()) << "round " << round;
         EXPECT_EQ(ra.dropped, rb.dropped) << "round " << round;
-        EXPECT_FALSE(rb.flow_cache_hit);  // the oracle never caches
-        EXPECT_FALSE(rb.megaflow_hit);
+        EXPECT_FALSE(rb.megaflow_hit);  // the oracle never caches
         if (::testing::Test::HasFailure()) {
           FAIL() << "cached pipeline diverged from reference oracle at "
                     "round "
-                 << round << " (seed 0xcac4e5eed, micro=" << micro_on
-                 << " mega=" << mega_on << ")";
+                 << round << " (seed 0xcac4e5eed)";
         }
       }
     }
@@ -185,21 +181,9 @@ void RunChurnProperty(bool micro_on, bool mega_on) {
 
   // The run must have exercised the machinery it claims to test.
   EXPECT_GT(mutations, 50u);
-  if (micro_on) {
-    EXPECT_GT(pair.cached.flow_cache_hits(), 100u);
-  } else {
-    EXPECT_EQ(pair.cached.flow_cache_hits(), 0u);
-  }
-  if (mega_on && !micro_on) {
-    // With the exact-match tier out of the way, every back-to-back repeat
-    // must be answered by the wildcard tier.
-    EXPECT_GT(pair.cached.megaflow_hits(), 100u);
-  }
-  if (!mega_on) {
-    EXPECT_EQ(pair.cached.megaflow_hits(), 0u);
-    EXPECT_EQ(pair.cached.megaflow_size(), 0u);
-  }
-  EXPECT_GE(pair.cached.flow_cache_invalidations(), mutations);
+  // Every back-to-back repeat must be answered by the wildcard cache.
+  EXPECT_GT(pair.cached.megaflow_hits(), 100u);
+  EXPECT_GE(pair.cached.epoch(), mutations);
 
   // Hit accounting parity: memoized replays must bill lookups and hits
   // exactly like the uncached reference path.
@@ -209,18 +193,6 @@ void RunChurnProperty(bool micro_on, bool mega_on) {
     EXPECT_EQ(ct->lookups(), ot->lookups()) << table;
     EXPECT_EQ(ct->hits(), ot->hits()) << table;
   }
-}
-
-TEST(FlowCachePropertyTest, BothTiersMatchReferenceOracleUnderChurn) {
-  RunChurnProperty(/*micro_on=*/true, /*mega_on=*/true);
-}
-
-TEST(FlowCachePropertyTest, MicroflowOnlyMatchesReferenceOracleUnderChurn) {
-  RunChurnProperty(/*micro_on=*/true, /*mega_on=*/false);
-}
-
-TEST(FlowCachePropertyTest, MegaflowOnlyMatchesReferenceOracleUnderChurn) {
-  RunChurnProperty(/*micro_on=*/false, /*mega_on=*/true);
 }
 
 }  // namespace

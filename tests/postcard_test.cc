@@ -111,7 +111,7 @@ TEST(PostcardRecorderTest, CanonicalTextIgnoresBatchSize) {
   hop.device = 1;
   hop.program_version = 3;
   hop.latency_ns = 250;
-  hop.tier = CacheTier::kMicro;
+  hop.tier = CacheTier::kMega;
   hop.tables = {"acl", "route"};
   hop.batch_size = 1;
   a.hops.push_back(hop);
@@ -305,8 +305,15 @@ TEST(PostcardNetTest, DroppedPacketCardSealedWithReason) {
       1, packet::Ipv4Spec{rig.topo.client.address, 0xdeadbeef},
       packet::TcpSpec{1000, 80});
   rig.network.InjectPacket(rig.topo.client.host, std::move(p));
+  // Traffic without IPv4 has no flow identity to sample by: it is dropped
+  // like the packet above but never sampled, even at 1-in-1.
+  packet::Packet no_ip(2);
+  packet::AddEthernet(no_ip, packet::EthernetSpec{});
+  rig.network.InjectPacket(rig.topo.client.host, std::move(no_ip));
   rig.sim.Run();
 
+  EXPECT_EQ(rig.network.stats().dropped, 2u);
+  EXPECT_EQ(recorder.opened(), 1u);
   ASSERT_EQ(recorder.cards().size(), 1u);
   const Postcard& card = recorder.cards()[0];
   EXPECT_EQ(card.fate, Postcard::Fate::kDropped);

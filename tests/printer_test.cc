@@ -56,6 +56,10 @@ struct RoundTripCase {
   ProgramIR program;
 };
 
+// gtest prints the parameter into the test listing; print the name, never
+// the struct's raw bytes (they hold heap pointers that change per run).
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<RoundTripCase> RoundTripPrograms() {
   std::vector<RoundTripCase> cases;
   cases.push_back({"firewall", apps::MakeFirewallProgram()});
