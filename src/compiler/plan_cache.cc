@@ -151,16 +151,23 @@ std::size_t PlanKeyHash::operator()(const PlanKey& key) const noexcept {
   return static_cast<std::size_t>(state);
 }
 
+RolloutKey MakeRolloutKey(const flexbpf::ProgramIR& before,
+                          const flexbpf::ProgramIR& after) {
+  return RolloutKey{FingerprintProgram(before), FingerprintProgram(after),
+                    FingerprintPlacement(after)};
+}
+
+PlanKey MakePlanKey(const RolloutKey& rollout,
+                    const runtime::ManagedDevice& device) {
+  return PlanKey{rollout.before_hash, rollout.after_hash,
+                 device.device().arch(), rollout.placement_hash,
+                 FingerprintDevice(device)};
+}
+
 PlanKey MakePlanKey(const flexbpf::ProgramIR& before,
                     const flexbpf::ProgramIR& after,
                     const runtime::ManagedDevice& device) {
-  PlanKey key;
-  key.before_hash = FingerprintProgram(before);
-  key.after_hash = FingerprintProgram(after);
-  key.arch = device.device().arch();
-  key.placement_hash = FingerprintPlacement(after);
-  key.device_fingerprint = FingerprintDevice(device);
-  return key;
+  return MakePlanKey(MakeRolloutKey(before, after), device);
 }
 
 std::shared_ptr<const runtime::ReconfigPlan> PlanCache::Find(

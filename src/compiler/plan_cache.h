@@ -28,6 +28,11 @@
 //                     the fingerprint and misses the cache instead of
 //                     applying a stale plan.
 //
+// The key has a rollout half and a device half.  The program diff and the
+// placement are fixed for a whole rollout, so FleetManager computes them
+// once per rollout (MakeRolloutKey); only the arch kind and the device
+// fingerprint are read per device.
+//
 // Invalidation is therefore structural: there is no TTL and no explicit
 // invalidate call — a device whose state diverged simply stops matching
 // its class key.  docs/FLEET.md spells out the rules.
@@ -82,9 +87,26 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& key) const noexcept;
 };
 
+// The rollout half of a PlanKey: the fields that depend only on the
+// program pair, identical for every device a rollout updates.
+struct RolloutKey {
+  std::uint64_t before_hash = 0;     // FingerprintProgram(before)
+  std::uint64_t after_hash = 0;      // FingerprintProgram(after)
+  std::uint64_t placement_hash = 0;  // FingerprintPlacement(after)
+};
+
+RolloutKey MakeRolloutKey(const flexbpf::ProgramIR& before,
+                          const flexbpf::ProgramIR& after);
+
+// Completes `rollout` with the device half: arch kind plus
+// FingerprintDevice(device).
+PlanKey MakePlanKey(const RolloutKey& rollout,
+                    const runtime::ManagedDevice& device);
+
 // The key for updating `device` from `before` to `after` (full-copy fleet
 // model: the device hosts every element of `before` today and every
-// element of `after` once the plan lands).
+// element of `after` once the plan lands).  Equal to composing the two
+// halves above.
 PlanKey MakePlanKey(const flexbpf::ProgramIR& before,
                     const flexbpf::ProgramIR& after,
                     const runtime::ManagedDevice& device);

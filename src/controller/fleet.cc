@@ -157,6 +157,10 @@ Result<RolloutReport> FleetManager::Rollout(const std::string& uri,
   std::sort(interior.begin(), interior.end(), by_id);
   std::sort(edge.begin(), edge.end(), by_id);
 
+  // The program half of every plan key is fixed for the whole rollout.
+  const compiler::RolloutKey rollout_key =
+      compiler::MakeRolloutKey(before, after);
+
   RolloutReport report;
   report.started = sim->now();
   report.devices = interior.size() + edge.size();
@@ -202,7 +206,7 @@ Result<RolloutReport> FleetManager::Rollout(const std::string& uri,
       for (std::size_t i = begin; i < end; ++i) {
         runtime::ManagedDevice* device = (*phase)[i];
         const compiler::PlanKey key =
-            compiler::MakePlanKey(before, after, *device);
+            compiler::MakePlanKey(rollout_key, *device);
         std::shared_ptr<const runtime::ReconfigPlan> plan = cache_.Find(key);
         if (plan == nullptr) {
           FLEXNET_ASSIGN_OR_RETURN(

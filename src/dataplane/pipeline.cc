@@ -145,10 +145,10 @@ void Pipeline::ForceReferenceScan(bool force) noexcept {
 
 // --- Cache plumbing -------------------------------------------------------
 
-Pipeline::CacheMap::iterator Pipeline::Erase(CacheMap::iterator it) {
+void Pipeline::Erase(CacheMap::iterator it) {
   free_slots_.push_back(it->second.slot);
   --masks_[it->second.mask_index].live;
-  return cache_.erase(it);
+  cache_.erase(it);
 }
 
 void Pipeline::EvictOne() {
@@ -158,10 +158,9 @@ void Pipeline::EvictOne() {
     const std::size_t slot = hand_++;
     const auto it = cache_.find(slot_keys_[slot]);
     if (it == cache_.end() || it->second.slot != slot) continue;  // freed slot
-    // Second chance for recently hit, current-epoch entries; the bound on
-    // `step` guarantees the walk terminates with a victim.
-    if (it->second.epoch == epoch_ && it->second.referenced &&
-        step < 2 * ring) {
+    // Second chance for recently hit entries; the bound on `step`
+    // guarantees the walk terminates with a victim.
+    if (it->second.referenced && step < 2 * ring) {
       it->second.referenced = false;
       continue;
     }
@@ -171,15 +170,20 @@ void Pipeline::EvictOne() {
   }
 }
 
+void Pipeline::DropEntries() {
+  cache_.clear();
+  slot_keys_.clear();
+  free_slots_.clear();
+  hand_ = 0;
+  for (MegaMask& m : masks_) m.live = 0;
+}
+
 void Pipeline::Clear(bool count_as_evictions) {
   if (count_as_evictions) {
     evictions_ += static_cast<std::uint64_t>(cache_.size());
   }
-  cache_.clear();
+  DropEntries();
   masks_.clear();
-  slot_keys_.clear();
-  free_slots_.clear();
-  hand_ = 0;
 }
 
 void Pipeline::set_flow_cache_enabled(bool enabled) {
@@ -207,11 +211,6 @@ Pipeline::CachedFlow* Pipeline::Probe(const packet::Packet& p,
     const auto it = cache_.find(MegaKey(mi, structure_sig, probe_scratch_));
     if (it == cache_.end()) continue;
     CachedFlow& e = it->second;
-    if (e.epoch != epoch_) {
-      ++stale_reclaimed_;
-      Erase(it);
-      continue;
-    }
     // Hash collisions are rejected by full verification.
     if (e.mask_index != mi || e.structure_sig != structure_sig) continue;
     if (e.values != probe_scratch_) continue;
@@ -268,20 +267,6 @@ void Pipeline::Install(const packet::Packet& pristine, CachedFlow flow) {
   if (const auto it = cache_.find(key); it != cache_.end()) {
     Erase(it);  // a rare hash collision: the newer flow replaces it
   }
-  // Under capacity pressure, reclaim dead-epoch entries before evicting
-  // live ones — at most one full sweep per epoch, so a reconfig never
-  // triggers a miss storm on refill.
-  if (cache_.size() >= cap_ && last_sweep_epoch_ != epoch_) {
-    last_sweep_epoch_ = epoch_;
-    for (auto it = cache_.begin(); it != cache_.end();) {
-      if (it->second.epoch != epoch_) {
-        ++stale_reclaimed_;
-        it = Erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
   while (cache_.size() >= cap_ && !cache_.empty()) EvictOne();
   if (!free_slots_.empty()) {
     flow.slot = free_slots_.back();
@@ -333,7 +318,6 @@ PipelineResult Pipeline::ResolveAndCache(packet::Packet& p, SimTime now,
                                          std::uint64_t structure_sig) {
   PipelineResult result;
   CachedFlow flow;
-  flow.epoch = epoch_;
   flow.structure_sig = structure_sig;
 
   // The key recorder: everything this resolution consults (parser selects,
@@ -377,7 +361,8 @@ PipelineResult Pipeline::ResolveAndCache(packet::Packet& p, SimTime now,
     }
   }
   // A mutation inside an action could in principle bump the epoch while we
-  // resolve; the stamp taken up front makes such a flow immediately stale.
+  // resolve; such a flow lands in the dead epoch and the next lookup
+  // releases it.
   if (cacheable) Install(pristine, std::move(flow));
   return result;
 }
@@ -410,6 +395,13 @@ PipelineResult Pipeline::ProcessOne(packet::Packet& p, SimTime now,
     return result;
   }
 
+  // Nothing resolved under an older epoch can hit again, so the first
+  // lookup after a bump releases the dead epoch whole.
+  if (cache_epoch_ != epoch_) {
+    stale_reclaimed_ += static_cast<std::uint64_t>(cache_.size());
+    DropEntries();
+    cache_epoch_ = epoch_;
+  }
   const std::uint64_t structure_sig = p.StructureSignature();
   if (CachedFlow* e = Probe(p, structure_sig)) {
     ++hits_;

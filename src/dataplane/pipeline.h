@@ -13,12 +13,11 @@
 // collision never replays another flow's steps.
 //
 // The cache evicts with a CLOCK (second-chance) policy instead of
-// wholesale clears, and reclaims stale-epoch entries lazily (on probe, plus
-// a once-per-epoch sweep under capacity pressure).  Soundness comes from a
-// pipeline-wide epoch counter: every mutation anywhere (entry churn,
-// default actions, table add/remove/move, parser edits, runtime reflash)
-// bumps it, and cached flows stamped with an older epoch are treated as
-// misses.
+// wholesale clears.  Soundness comes from a pipeline-wide epoch counter:
+// every mutation anywhere (entry churn, default actions, table
+// add/remove/move, parser edits, runtime reflash) bumps it, and the first
+// cache lookup after a bump releases every cached flow at once — none
+// resolved under an older epoch can ever hit again.
 #pragma once
 
 #include <cstdint>
@@ -121,7 +120,7 @@ class Pipeline {
   // Entries removed under capacity pressure, by a wholesale clear, or by a
   // wildcard-shape overflow restart.
   std::uint64_t megaflow_evictions() const noexcept { return evictions_; }
-  // Dead-epoch entries removed on probe or by the at-cap sweep.
+  // Dead-epoch entries released by the first lookup after an epoch bump.
   std::uint64_t megaflow_stale_reclaimed() const noexcept {
     return stale_reclaimed_;
   }
@@ -156,7 +155,8 @@ class Pipeline {
  private:
   // One memoized pipeline step: the entry that matched (null = default
   // action applied).  Raw pointers are safe because any mutation that could
-  // move or free them bumps epoch_ first, orphaning this step.
+  // move or free them bumps epoch_ first, and the next lookup releases
+  // every cached step before it could replay one.
   struct CachedStep {
     MatchActionTable* table = nullptr;
     TableEntry* entry = nullptr;
@@ -172,7 +172,6 @@ class Pipeline {
   // A cached flow: the memoized step sequence, its key, and its CLOCK
   // eviction state (recency bit + ring slot).
   struct CachedFlow {
-    std::uint64_t epoch = 0;    // stale when != pipeline epoch
     bool parse_reject = false;  // memoized parser verdict
     bool referenced = true;     // CLOCK second-chance bit, set on every hit
     std::uint32_t slot = 0;     // position in the clock ring
@@ -195,8 +194,11 @@ class Pipeline {
   // churn) clears the cache, counted as evictions.
   static constexpr std::size_t kMaxMegaflowMasks = 32;
 
-  CacheMap::iterator Erase(CacheMap::iterator it);
+  void Erase(CacheMap::iterator it);
   void EvictOne();
+  // Drops every entry; keeps the wildcard shapes, whose indices key the
+  // entries installed next.
+  void DropEntries();
   void Clear(bool count_as_evictions);
   CachedFlow* Probe(const packet::Packet& p, std::uint64_t structure_sig);
   void Install(const packet::Packet& pristine, CachedFlow flow);
@@ -215,6 +217,7 @@ class Pipeline {
   ParseGraph parser_ = MakeStandardParseGraph();
 
   std::uint64_t epoch_ = 0;  // bumped by tables_/parser_/structure mutations
+  std::uint64_t cache_epoch_ = 0;  // the epoch cache_'s entries belong to
   bool flow_cache_enabled_ = true;
 
   CacheMap cache_;
@@ -224,7 +227,6 @@ class Pipeline {
   std::vector<std::uint64_t> slot_keys_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t hand_ = 0;
-  std::uint64_t last_sweep_epoch_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -297,45 +297,51 @@ ChaosReport RunChaosSchedule(const ChaosConfig& config, FaultPlan plan) {
   // --- Phase C: in-band dRPC with exactly-once completion ---
   {
     drpc::Registry registry(&network, topo.switches.front());
-    drpc::RegisterEchoService(registry, topo.server.nic);
-    drpc::Client client(&network, &registry, topo.client.host, &metrics);
-    client.set_fault_injector(&injector);
+    const Status echo = drpc::RegisterEchoService(registry, topo.server.nic);
+    if (!echo.ok()) {
+      checker.AddViolation("drpc_exactly_once",
+                           "could not register the echo service: " +
+                               echo.error().ToText());
+    } else {
+      drpc::Client client(&network, &registry, topo.client.host, &metrics);
+      client.set_fault_injector(&injector);
 
-    struct InvokeState {
-      int completions = 0;
-      bool ok = false;
-    };
-    std::vector<std::shared_ptr<InvokeState>> issued;
-    const auto invoke_once = [&]() {
-      auto st = std::make_shared<InvokeState>();
-      issued.push_back(st);
-      drpc::Message request;
-      request.fields["ping"] = issued.size();
-      client.Invoke("drpc://infra/echo", std::move(request),
-                    [st](const drpc::InvokeOutcome& outcome) {
-                      ++st->completions;
-                      st->ok = outcome.ok;
-                    });
-      while (st->completions == 0 && sim.Step()) {
+      struct InvokeState {
+        int completions = 0;
+        bool ok = false;
+      };
+      std::vector<std::shared_ptr<InvokeState>> issued;
+      const auto invoke_once = [&]() {
+        auto st = std::make_shared<InvokeState>();
+        issued.push_back(st);
+        drpc::Message request;
+        request.fields["ping"] = issued.size();
+        client.Invoke("drpc://infra/echo", std::move(request),
+                      [st](const drpc::InvokeOutcome& outcome) {
+                        ++st->completions;
+                        st->ok = outcome.ok;
+                      });
+        while (st->completions == 0 && sim.Step()) {
+        }
+        return st->ok;
+      };
+      for (int call = 0; call < 5; ++call) {
+        // A dropped request fails its outcome; the caller retries once (a
+        // failed RPC is allowed under faults — a *double-completed* one
+        // never is).
+        if (invoke_once() || invoke_once()) ++report.drpc_invokes;
       }
-      return st->ok;
-    };
-    for (int call = 0; call < 5; ++call) {
-      // A dropped request fails its outcome; the caller retries once (a
-      // failed RPC is allowed under faults — a *double-completed* one
-      // never is).
-      if (invoke_once() || invoke_once()) ++report.drpc_invokes;
-    }
 
-    // Drain everything in flight — trailing traffic, delayed duplicates —
-    // then hold the exactly-once line per issued invocation.
-    sim.Run();
-    for (std::size_t i = 0; i < issued.size(); ++i) {
-      if (issued[i]->completions != 1) {
-        checker.AddViolation(
-            "drpc_exactly_once",
-            "invocation " + std::to_string(i) + " completed " +
-                std::to_string(issued[i]->completions) + " times");
+      // Drain everything in flight — trailing traffic, delayed duplicates —
+      // then hold the exactly-once line per issued invocation.
+      sim.Run();
+      for (std::size_t i = 0; i < issued.size(); ++i) {
+        if (issued[i]->completions != 1) {
+          checker.AddViolation(
+              "drpc_exactly_once",
+              "invocation " + std::to_string(i) + " completed " +
+                  std::to_string(issued[i]->completions) + " times");
+        }
       }
     }
   }

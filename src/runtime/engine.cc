@@ -74,12 +74,11 @@ struct ApplyChain {
     const ReconfigStep& step = plan->steps[next];
     const Status status = device->ApplyStep(step);
     metrics->Observe("runtime.step_apply_ns", static_cast<double>(cost));
-    metrics->trace().Record(sim->now(), "reconfig.step",
-                            device->name() + ": " + ToText(step),
+    std::string label = device->name() + ": " + ToText(step);
+    metrics->trace().Record(sim->now(), "reconfig.step", label,
                             static_cast<double>(cost));
     const telemetry::SpanId step_span = metrics->tracer().RecordSpan(
-        step_begin, sim->now(), "runtime.step",
-        device->name() + ": " + ToText(step), plan_span);
+        step_begin, sim->now(), "runtime.step", std::move(label), plan_span);
     if (status.ok()) {
       ++report->steps_applied;
       metrics->Count("runtime.steps_applied");

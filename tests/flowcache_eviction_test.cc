@@ -3,9 +3,10 @@
 // The bugs pinned here: an early cache handled overflow by silently
 // clearing the whole map (hot flows paid a re-resolve storm and telemetry
 // showed nothing), and dead-epoch entries were never reclaimed (live flows
-// paid eviction pressure for corpses).  Now overflow runs CLOCK, clears
-// count as evictions, stale entries are reclaimed on probe and by a
-// once-per-epoch sweep, and one wildcard entry covers a whole prefix.  An
+// paid eviction pressure for corpses, and a device whose program kept
+// changing piled them up).  Now overflow runs CLOCK, clears count as
+// evictions, the first lookup after an epoch bump releases the dead epoch
+// whole, and one wildcard entry covers a whole prefix.  An
 // exact-key table makes every distinct key its own entry, which is how the
 // CLOCK tests below put the cache under per-flow pressure.
 #include <gtest/gtest.h>
@@ -139,15 +140,17 @@ TEST(FlowCacheEvictionTest, StaleEpochEntriesReclaimedNotEvicted) {
   e.action = MakeForwardAction(9);
   ASSERT_TRUE(t->AddEntry(e).ok());
 
-  // Probing a dead entry reclaims it on the spot.
+  // The first lookup after the bump releases all 16 corpses at once; only
+  // the re-resolved flow is resident afterwards.
   packet::Packet repeat = FlowPkt(7000);
   EXPECT_FALSE(pl.Process(repeat, 0).megaflow_hit);
-  EXPECT_EQ(pl.megaflow_stale_reclaimed(), 1u);
+  EXPECT_EQ(pl.megaflow_stale_reclaimed(), 16u);
+  EXPECT_EQ(pl.megaflow_size(), 1u);
 
-  // Refill with fresh flows: the at-cap insert sweeps the remaining
-  // corpses instead of CLOCK-evicting live flows.  The regression was
-  // that stale entries sat in the map forever, so a refill after reconfig
-  // evicted the flows that had just been installed.
+  // Refill with fresh flows: no corpse is left for CLOCK to weigh against
+  // live flows.  The regression was that stale entries sat in the map
+  // forever, so a refill after reconfig evicted the flows that had just
+  // been installed.
   for (int i = 16; i < 31; ++i) {
     packet::Packet p = FlowPkt(7000 + i);
     (void)pl.Process(p, 0);
@@ -162,6 +165,31 @@ TEST(FlowCacheEvictionTest, StaleEpochEntriesReclaimedNotEvicted) {
     packet::Packet p = FlowPkt(7000 + i);
     EXPECT_TRUE(pl.Process(p, 0).megaflow_hit) << "fresh flow " << i;
   }
+}
+
+// A device whose program keeps changing under light traffic: every round
+// resolves 100 new flows, then one entry add kills the epoch.  Dead epochs
+// must not pile up — each is released whole by the next round's first
+// lookup, so the cache never holds more than one epoch's flows.
+TEST(MegaflowTest, DeadEpochsDoNotAccumulate) {
+  Pipeline pl;
+  auto* t = AddExactSrcTable(pl);
+  constexpr int kRounds = 50;
+  constexpr int kFlows = 100;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int f = 0; f < kFlows; ++f) {
+      packet::Packet p = FlowPkt(100000 + round * kFlows + f);
+      (void)pl.Process(p, 0);
+    }
+    TableEntry e;
+    e.match = {MatchValue::Exact(2 + static_cast<std::uint64_t>(round))};
+    e.action = MakeForwardAction(9);
+    ASSERT_TRUE(t->AddEntry(e).ok());
+    ASSERT_LE(pl.megaflow_size(), 101u) << "round " << round;
+  }
+  EXPECT_EQ(pl.megaflow_stale_reclaimed(),
+            static_cast<std::uint64_t>((kRounds - 1) * kFlows));
+  EXPECT_EQ(pl.megaflow_evictions(), 0u);
 }
 
 // --- Megaflow tier: one wildcard entry covers a whole prefix ---

@@ -269,6 +269,74 @@ TEST(PlanCacheDifferential, RetireRemovesParserStatesAndFingerprintSeesThem) {
   EXPECT_NE(FingerprintDevice(*pair.a), FingerprintDevice(*pair.b));
 }
 
+// A rollout computes the program half of its plan keys once and the
+// device half per device.  Composed, the halves must be the key the
+// three-argument MakePlanKey builds, field by field, and that key must be
+// the documented per-field fingerprints.
+void ExpectComposedKeyIsWholeKey(const flexbpf::ProgramIR& before,
+                                 const flexbpf::ProgramIR& after,
+                                 const runtime::ManagedDevice& device) {
+  const PlanKey composed = MakePlanKey(MakeRolloutKey(before, after), device);
+  const PlanKey whole = MakePlanKey(before, after, device);
+  EXPECT_EQ(composed.before_hash, whole.before_hash);
+  EXPECT_EQ(composed.after_hash, whole.after_hash);
+  EXPECT_EQ(composed.arch, whole.arch);
+  EXPECT_EQ(composed.placement_hash, whole.placement_hash);
+  EXPECT_EQ(composed.device_fingerprint, whole.device_fingerprint);
+  EXPECT_EQ(whole.before_hash, FingerprintProgram(before));
+  EXPECT_EQ(whole.after_hash, FingerprintProgram(after));
+  EXPECT_EQ(whole.arch, device.device().arch());
+  EXPECT_EQ(whole.placement_hash, FingerprintPlacement(after));
+  EXPECT_EQ(whole.device_fingerprint, FingerprintDevice(device));
+}
+
+TEST(PlanCacheTest, ComposedKeyEqualsWholeKey) {
+  sim::Simulator sim;
+  net::Network network(&sim);
+  runtime::RuntimeEngine engine(&sim);
+  const flexbpf::ProgramIR v1 = V1();
+  const flexbpf::ProgramIR v2 = V2();
+  const flexbpf::ProgramIR with_header = V1WithHeader();
+  const flexbpf::ProgramIR empty = EmptyLike(v1);
+  struct Round {
+    const flexbpf::ProgramIR* before;
+    const flexbpf::ProgramIR* after;
+  };
+  const Round rounds[] = {{&empty, &v1},
+                          {&v1, &v2},
+                          {&empty, &with_header},
+                          {&with_header, &empty}};
+  const auto expect_all = [&](const DevicePair& pair) {
+    for (const Round& round : rounds) {
+      ExpectComposedKeyIsWholeKey(*round.before, *round.after, *pair.a);
+      ExpectComposedKeyIsWholeKey(*round.before, *round.after, *pair.b);
+    }
+  };
+
+  std::uint64_t next_id = 6000;
+  for (const arch::ArchKind kind : kAllKinds) {
+    SCOPED_TRACE(arch::ToString(kind));
+    const DevicePair pair = AddPair(network, kind, next_id);
+    next_id += 2;
+    expect_all(pair);
+    // Key every round against each state a rollout walks the pair through.
+    for (const Round& round : {rounds[0], rounds[1]}) {
+      auto computed = ComputeClassPlan(*round.before, *round.after, kind);
+      ASSERT_TRUE(computed.ok()) << computed.error().ToText();
+      const auto plan = std::make_shared<const runtime::ReconfigPlan>(
+          std::move(computed->plan));
+      ApplyAndDrain(sim, engine, *pair.a, plan);
+      ApplyAndDrain(sim, engine, *pair.b, plan);
+      expect_all(pair);
+    }
+    // Device B diverges out of band: its device half changes, and the
+    // composed key still tracks the whole key.
+    ASSERT_TRUE(pair.b->ApplyStep(runtime::StepRemoveTable{"t0"}).ok());
+    ASSERT_NE(FingerprintDevice(*pair.a), FingerprintDevice(*pair.b));
+    expect_all(pair);
+  }
+}
+
 TEST(PlanCacheTest, LruEvictionBoundsEntries) {
   PlanCache cache(/*capacity=*/2);
   const PlanKey k1{1, 2, arch::ArchKind::kRmt, 3, 4};
