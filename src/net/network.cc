@@ -1,6 +1,6 @@
 #include "net/network.h"
 
-#include <deque>
+#include <algorithm>
 #include <utility>
 
 #include "telemetry/postcard.h"
@@ -23,15 +23,20 @@ runtime::ManagedDevice* Network::AddDevice(
     std::unique_ptr<arch::Device> device) {
   auto managed = std::make_unique<runtime::ManagedDevice>(std::move(device));
   runtime::ManagedDevice* raw = managed.get();
-  index_[raw->id()] = devices_.size();
+  index_[raw->id()] = static_cast<std::uint32_t>(devices_.size());
   devices_.push_back(std::move(managed));
-  links_[raw->id()];  // ensure adjacency entry exists
+  links_.emplace_back();
   return raw;
 }
 
-runtime::ManagedDevice* Network::Find(DeviceId id) noexcept {
+std::uint32_t Network::IndexOf(DeviceId id) const noexcept {
   const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : devices_[it->second].get();
+  return it == index_.end() ? kNone : it->second;
+}
+
+runtime::ManagedDevice* Network::Find(DeviceId id) noexcept {
+  const std::uint32_t at = IndexOf(id);
+  return at == kNone ? nullptr : devices_[at].get();
 }
 
 runtime::ManagedDevice* Network::FindByName(const std::string& name) noexcept {
@@ -42,20 +47,25 @@ runtime::ManagedDevice* Network::FindByName(const std::string& name) noexcept {
 }
 
 Status Network::AddLink(DeviceId a, DeviceId b, SimDuration latency) {
-  if (!index_.contains(a) || !index_.contains(b)) {
+  const std::uint32_t ia = IndexOf(a);
+  const std::uint32_t ib = IndexOf(b);
+  if (ia == kNone || ib == kNone) {
     return NotFound("link endpoint not in network");
   }
-  for (const LinkEnd& end : links_[a]) {
-    if (end.peer == b) return AlreadyExists("link already present");
+  for (const LinkEnd& end : links_[ia]) {
+    if (end.peer == ib) return AlreadyExists("link already present");
   }
-  links_[a].push_back(LinkEnd{b, latency});
-  links_[b].push_back(LinkEnd{a, latency});
+  links_[ia].push_back(LinkEnd{ib, latency});
+  links_[ib].push_back(LinkEnd{ia, latency});
   return OkStatus();
 }
 
 Status Network::RemoveLink(DeviceId a, DeviceId b) {
+  const std::uint32_t ia = IndexOf(a);
+  const std::uint32_t ib = IndexOf(b);
+  if (ia == kNone || ib == kNone) return NotFound("no such link");
   bool removed = false;
-  const auto drop = [&](DeviceId from, DeviceId to) {
+  const auto drop = [&](std::uint32_t from, std::uint32_t to) {
     auto& ends = links_[from];
     for (auto it = ends.begin(); it != ends.end(); ++it) {
       if (it->peer == to) {
@@ -65,78 +75,135 @@ Status Network::RemoveLink(DeviceId a, DeviceId b) {
       }
     }
   };
-  drop(a, b);
-  drop(b, a);
+  drop(ia, ib);
+  drop(ib, ia);
   if (!removed) return NotFound("no such link");
   return OkStatus();
 }
 
+std::vector<Network::Link> Network::LinksOf(DeviceId device) const {
+  std::vector<Link> out;
+  const std::uint32_t at = IndexOf(device);
+  if (at == kNone) return out;
+  for (const LinkEnd& end : links_[at]) {
+    out.push_back(Link{devices_[end.peer]->id(), end.latency});
+  }
+  return out;
+}
+
 Status Network::AttachAddress(DeviceId device, std::uint64_t address) {
-  if (!index_.contains(device)) return NotFound("device not in network");
+  const std::uint32_t at = IndexOf(device);
+  if (at == kNone) return NotFound("device not in network");
   if (address_home_.contains(address)) {
     return AlreadyExists("address " + std::to_string(address) +
                          " already attached");
   }
-  address_home_[address] = device;
+  address_home_[address] = AddressHome{at};
   return OkStatus();
 }
 
 void Network::RebuildRoutes() {
-  routes_.clear();
-  // One BFS per destination device; all attached addresses of that device
-  // share the result.  Parents at equal depth are all recorded => ECMP.
+  const std::size_t n = devices_.size();
+  route_devices_ = n;
+  csr_begin_.assign(n + 1, 0);
+  csr_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    csr_begin_[i] = static_cast<std::uint32_t>(csr_.size());
+    csr_.insert(csr_.end(), links_[i].begin(), links_[i].end());
+  }
+  csr_begin_[n] = static_cast<std::uint32_t>(csr_.size());
+
+  // One route slot per destination device, numbered in index order.
+  std::vector<std::uint32_t> slot_of(n, kNone);
+  for (const auto& [address, entry] : address_home_) slot_of[entry.home] = 0;
+  std::vector<std::uint32_t> homes;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (slot_of[i] == kNone) continue;
+    slot_of[i] = static_cast<std::uint32_t>(homes.size());
+    homes.push_back(i);
+  }
+  for (auto& [address, entry] : address_home_) entry.slot = slot_of[entry.home];
+
   // Offline devices do not relay: they are excluded from interior hops
   // (but may still be BFS roots — a drained destination simply drops).
-  const auto relays = [this](DeviceId id) {
-    runtime::ManagedDevice* device = Find(id);
-    return device != nullptr && device->device().online();
-  };
-  for (const auto& [address, home] : address_home_) {
-    std::unordered_map<DeviceId, int> depth;
-    std::unordered_map<DeviceId, std::vector<DeviceId>> next_toward;
-    std::deque<DeviceId> queue;
+  std::vector<char> relays(n);
+  for (std::size_t i = 0; i < n; ++i) relays[i] = devices_[i]->device().online();
+
+  constexpr std::uint32_t kUnreached = kNone;
+  std::vector<std::uint32_t> depth(n);
+  std::vector<std::uint32_t> rank(n);   // position in BFS visiting order
+  std::vector<std::uint32_t> order;     // the BFS queue, never popped
+  order.reserve(n);
+  route_begin_.assign(homes.size() * n + 1, 0);
+  route_hops_.clear();
+  for (std::size_t slot = 0; slot < homes.size(); ++slot) {
+    const std::uint32_t home = homes[slot];
+    std::fill(depth.begin(), depth.end(), kUnreached);
+    order.clear();
     depth[home] = 0;
-    queue.push_back(home);
-    while (!queue.empty()) {
-      const DeviceId current = queue.front();
-      queue.pop_front();
-      if (current != home && !relays(current)) continue;  // drained hop
-      for (const LinkEnd& end : links_[current]) {
-        const auto it = depth.find(end.peer);
-        if (it == depth.end()) {
-          depth[end.peer] = depth[current] + 1;
-          next_toward[end.peer].push_back(current);
-          queue.push_back(end.peer);
-        } else if (it->second == depth[current] + 1) {
-          next_toward[end.peer].push_back(current);  // equal-cost sibling
+    order.push_back(home);
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const std::uint32_t current = order[head];
+      rank[current] = static_cast<std::uint32_t>(head);
+      if (current != home && !relays[current]) continue;  // drained hop
+      for (std::uint32_t p = csr_begin_[current]; p < csr_begin_[current + 1];
+           ++p) {
+        const std::uint32_t peer = csr_[p].peer;
+        if (depth[peer] == kUnreached) {
+          depth[peer] = depth[current] + 1;
+          order.push_back(peer);
         }
       }
     }
-    for (const auto& [device, hops] : next_toward) {
-      routes_[device][address] = hops;
+    // A device's candidates are its links to relaying neighbours one hop
+    // closer to home, ordered by when the BFS visited those neighbours;
+    // that order decides which next hop candidates[flow_hash % count]
+    // picks (tests/routing_oracle_test.cc pins it).
+    const std::size_t row = slot * n;
+    for (std::uint32_t at = 0; at < n; ++at) {
+      route_begin_[row + at] = static_cast<std::uint32_t>(route_hops_.size());
+      if (depth[at] == kUnreached || at == home) continue;
+      const auto first = route_hops_.size();
+      for (std::uint32_t p = csr_begin_[at]; p < csr_begin_[at + 1]; ++p) {
+        const std::uint32_t peer = csr_[p].peer;
+        if (depth[peer] != kUnreached && depth[peer] + 1 == depth[at] &&
+            (peer == home || relays[peer])) {
+          route_hops_.push_back(p);
+        }
+      }
+      std::sort(route_hops_.begin() + first, route_hops_.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return rank[csr_[a].peer] < rank[csr_[b].peer];
+                });
     }
-    routes_[home][address] = {};  // local delivery
   }
+  route_begin_.back() = static_cast<std::uint32_t>(route_hops_.size());
+}
+
+std::span<const std::uint32_t> Network::Candidates(
+    std::uint32_t slot, std::uint32_t at) const noexcept {
+  if (slot == kNone || at >= route_devices_) return {};
+  const std::size_t row = slot * route_devices_ + at;
+  return {route_hops_.data() + route_begin_[row],
+          route_hops_.data() + route_begin_[row + 1]};
 }
 
 DeviceId Network::NextHop(DeviceId at, std::uint64_t dst_addr,
                           std::uint64_t flow_hash) const {
-  const auto dit = routes_.find(at);
-  if (dit == routes_.end()) return DeviceId();
-  const auto ait = dit->second.find(dst_addr);
-  if (ait == dit->second.end() || ait->second.empty()) return DeviceId();
-  return ait->second[flow_hash % ait->second.size()];
+  const auto it = address_home_.find(dst_addr);
+  if (it == address_home_.end()) return DeviceId();
+  const auto candidates = Candidates(it->second.slot, IndexOf(at));
+  if (candidates.empty()) return DeviceId();
+  return devices_[csr_[candidates[flow_hash % candidates.size()]].peer]->id();
 }
 
 std::vector<DeviceId> Network::PathTo(DeviceId from,
                                       std::uint64_t dst_addr) const {
   std::vector<DeviceId> path;
   DeviceId current = from;
-  const DeviceId home = [&] {
-    const auto it = address_home_.find(dst_addr);
-    return it == address_home_.end() ? DeviceId() : it->second;
-  }();
-  if (!home.valid()) return path;
+  const auto it = address_home_.find(dst_addr);
+  if (it == address_home_.end()) return path;
+  const DeviceId home = devices_[it->second.home]->id();
   path.push_back(current);
   while (current != home) {
     const DeviceId next = NextHop(current, dst_addr, 0);
@@ -150,19 +217,20 @@ std::vector<DeviceId> Network::PathTo(DeviceId from,
 Result<SimDuration> Network::EstimatePathLatency(DeviceId from,
                                                  DeviceId to) const {
   if (from == to) return SimDuration{0};
-  std::unordered_map<DeviceId, SimDuration> cost;
-  std::deque<DeviceId> queue;
-  cost[from] = 0;
-  queue.push_back(from);
-  while (!queue.empty()) {
-    const DeviceId current = queue.front();
-    queue.pop_front();
-    const auto lit = links_.find(current);
-    if (lit == links_.end()) continue;
-    for (const LinkEnd& end : lit->second) {
-      if (!cost.contains(end.peer)) {
+  const std::uint32_t source = IndexOf(from);
+  const std::uint32_t target = IndexOf(to);
+  if (source != kNone && target != kNone) {
+    std::vector<SimDuration> cost(devices_.size());
+    std::vector<char> seen(devices_.size());
+    std::vector<std::uint32_t> queue{source};
+    seen[source] = 1;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::uint32_t current = queue[head];
+      for (const LinkEnd& end : links_[current]) {
+        if (seen[end.peer]) continue;
+        seen[end.peer] = 1;
         cost[end.peer] = cost[current] + end.latency;
-        if (end.peer == to) return cost[end.peer];
+        if (end.peer == target) return cost[end.peer];
         queue.push_back(end.peer);
       }
     }
@@ -208,7 +276,13 @@ void Network::InjectPacket(DeviceId from, packet::Packet packet) {
   ++stats_.injected;
   packet.created_at = sim_->now();
   MaybeOpenPostcard(packet);
-  HopProcess(from, std::move(packet));
+  const std::uint32_t at = IndexOf(from);
+  if (at == kNone) {
+    packet.MarkDropped("no_such_device");
+    FinishDrop(std::move(packet));
+    return;
+  }
+  HopProcess(at, std::move(packet));
 }
 
 void Network::InjectBatch(DeviceId from, packet::PacketBatch batch) {
@@ -219,16 +293,26 @@ void Network::InjectBatch(DeviceId from, packet::PacketBatch batch) {
     p.created_at = now;
     MaybeOpenPostcard(p);
   }
-  if (!batching_enabled_) {
-    // Scalar-transport oracle: unbundle onto the per-packet path at the
-    // same instant, preserving member order.
+  const std::uint32_t at = IndexOf(from);
+  if (at == kNone) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      HopProcess(from, batch.Take(i));
+      packet::Packet p = batch.Take(i);
+      p.MarkDropped("no_such_device");
+      FinishDrop(std::move(p));
     }
     arena_.Recycle(std::move(batch));
     return;
   }
-  HopProcessBatch(from, std::move(batch));
+  if (!batching_enabled_) {
+    // Scalar-transport oracle: unbundle onto the per-packet path at the
+    // same instant, preserving member order.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      HopProcess(at, batch.Take(i));
+    }
+    arena_.Recycle(std::move(batch));
+    return;
+  }
+  HopProcessBatch(at, std::move(batch));
 }
 
 void Network::FinishDrop(packet::Packet&& packet) {
@@ -257,7 +341,8 @@ void Network::FinishDeliver(packet::Packet&& packet) {
   }
 }
 
-Network::HopDecision Network::SettleHop(DeviceId at, packet::Packet& packet,
+Network::HopDecision Network::SettleHop(std::uint32_t at,
+                                        packet::Packet& packet,
                                         const arch::ProcessOutcome& outcome) {
   stats_.total_energy_nj += outcome.energy_nj;
   HopDecision decision;
@@ -272,56 +357,37 @@ Network::HopDecision Network::SettleHop(DeviceId at, packet::Packet& packet,
     return decision;
   }
   const auto home_it = address_home_.find(*dst);
-  if (home_it != address_home_.end() && home_it->second == at) {
+  if (home_it != address_home_.end() && home_it->second.home == at) {
     // Arrived: charge processing latency, then deliver.
     decision.kind = HopDecision::kDeliver;
     decision.delay = outcome.latency;
     return decision;
   }
-  const std::vector<DeviceId>* candidates = nullptr;
-  const auto rit = routes_.find(at);
-  if (rit != routes_.end()) {
-    const auto ait = rit->second.find(*dst);
-    if (ait != rit->second.end() && !ait->second.empty()) {
-      candidates = &ait->second;
-    }
-  }
-  if (candidates == nullptr) {
+  const auto candidates = home_it == address_home_.end()
+                              ? std::span<const std::uint32_t>()
+                              : Candidates(home_it->second.slot, at);
+  if (candidates.empty()) {
     packet.MarkDropped("unroutable");
     decision.kind = HopDecision::kDrop;
     return decision;
   }
-  DeviceId next;
-  if (candidates->size() == 1) {
-    // No ECMP choice to make: skip the flow-key extraction + hash.
-    next = candidates->front();
-  } else {
+  std::uint32_t link = candidates.front();
+  if (candidates.size() > 1) {
+    // ECMP: only a real choice pays for the flow-key extraction + hash.
     const auto key = packet::ExtractFlowKey(packet);
-    next = (*candidates)[(key.has_value() ? key->Hash() : packet.id()) %
-                         candidates->size()];
-  }
-  SimDuration link_latency = 1 * kMicrosecond;
-  for (const LinkEnd& end : links_[at]) {
-    if (end.peer == next) {
-      link_latency = end.latency;
-      break;
-    }
+    link = candidates[(key.has_value() ? key->Hash() : packet.id()) %
+                      candidates.size()];
   }
   decision.kind = HopDecision::kForward;
-  decision.next = next;
-  decision.delay = outcome.latency + link_latency;
+  decision.next = csr_[link].peer;
+  decision.delay = outcome.latency + csr_[link].latency;
   return decision;
 }
 
-void Network::HopProcess(DeviceId at, packet::Packet packet) {
-  runtime::ManagedDevice* device = Find(at);
-  if (device == nullptr) {
-    packet.MarkDropped("no_such_device");
-    FinishDrop(std::move(packet));
-    return;
-  }
-  arch::ProcessOutcome outcome = device->Process(packet, sim_->now());
-  RecordPostcardHop(packet, *device, outcome, 1);
+void Network::HopProcess(std::uint32_t at, packet::Packet packet) {
+  runtime::ManagedDevice& device = *devices_[at];
+  arch::ProcessOutcome outcome = device.Process(packet, sim_->now());
+  RecordPostcardHop(packet, device, outcome, 1);
   const HopDecision decision = SettleHop(at, packet, outcome);
   switch (decision.kind) {
     case HopDecision::kDrop:
@@ -343,25 +409,16 @@ void Network::HopProcess(DeviceId at, packet::Packet packet) {
   }
 }
 
-void Network::HopProcessBatch(DeviceId at, packet::PacketBatch batch) {
-  runtime::ManagedDevice* device = Find(at);
-  if (device == nullptr) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      packet::Packet p = batch.Take(i);
-      p.MarkDropped("no_such_device");
-      FinishDrop(std::move(p));
-    }
-    arena_.Recycle(std::move(batch));
-    return;
-  }
+void Network::HopProcessBatch(std::uint32_t at, packet::PacketBatch batch) {
+  runtime::ManagedDevice& device = *devices_[at];
   outcome_scratch_.assign(batch.size(), arch::ProcessOutcome{});
-  device->ProcessBatch(batch.span(), sim_->now(), outcome_scratch_);
+  device.ProcessBatch(batch.span(), sim_->now(), outcome_scratch_);
   if (recorder_ != nullptr) {
     // Sampled members append their hop in member order — the same order
     // the scalar oracle would visit them.
     const auto batch_size = static_cast<std::uint32_t>(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      RecordPostcardHop(batch[i], *device, outcome_scratch_[i], batch_size);
+      RecordPostcardHop(batch[i], device, outcome_scratch_[i], batch_size);
     }
   }
 

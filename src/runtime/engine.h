@@ -54,12 +54,18 @@ class RuntimeEngine {
   // Records per-step apply latency, failed steps, and drain windows into
   // `metrics` (the process Default() registry when null), and causal spans
   // (runtime.apply_plan > runtime.step, runtime.drain) into its tracer,
-  // whose clock is pointed at `sim` so scoped spans read sim time.
+  // whose clock is pointed at `sim` so scoped spans read sim time.  The
+  // destructor withdraws that clock unless another engine has installed
+  // its own since, so a registry that outlives the engine (Default())
+  // never reads a dead simulator.
   explicit RuntimeEngine(sim::Simulator* sim,
                          telemetry::MetricsRegistry* metrics = nullptr)
       : sim_(sim), metrics_(metrics ? metrics : &telemetry::Default()) {
-    metrics_->tracer().set_clock([sim] { return sim->now(); });
+    metrics_->tracer().set_clock([sim] { return sim->now(); }, this);
   }
+  RuntimeEngine(const RuntimeEngine&) = delete;
+  RuntimeEngine& operator=(const RuntimeEngine&) = delete;
+  ~RuntimeEngine() { metrics_->tracer().ReleaseClock(this); }
 
   using DoneFn = std::function<void(const ApplyReport&)>;
 

@@ -12,7 +12,8 @@ std::uint64_t Simulator::Schedule(SimDuration delay, EventFn fn) {
 std::uint64_t Simulator::ScheduleAt(SimTime when, EventFn fn) {
   assert(fn);
   const std::uint64_t id = next_id_++;
-  queue_.push(Event{std::max(when, now_), next_seq_++, id, std::move(fn)});
+  queue_.push_back(Event{std::max(when, now_), next_seq_++, id, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
   return id;
 }
 
@@ -31,8 +32,9 @@ bool Simulator::Cancel(std::uint64_t event_id) {
 
 bool Simulator::PopAndRun() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
     const auto it = std::find(cancelled_.begin(), cancelled_.end(), ev.id);
     if (it != cancelled_.end()) {
       cancelled_.erase(it);
@@ -53,7 +55,7 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(SimTime until) {
-  while (!queue_.empty() && queue_.top().when <= until) {
+  while (!queue_.empty() && queue_.front().when <= until) {
     if (!PopAndRun()) break;
   }
   now_ = std::max(now_, until);

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.h"
@@ -60,7 +59,9 @@ class Simulator {
 
   bool PopAndRun();
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  // Binary heap under EventLater (push_heap/pop_heap), so the next event
+  // can be moved out rather than copied out of a priority_queue's top().
+  std::vector<Event> queue_;
   std::vector<std::uint64_t> cancelled_;  // Ids cancelled but still queued.
   std::size_t cancelled_live_ = 0;
   SimTime now_ = 0;

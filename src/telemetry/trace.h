@@ -69,8 +69,18 @@ class Tracer {
   // Optional sim-time source used by ScopedSpan and the no-timestamp
   // overloads.  Components owning a simulator install it; without a clock
   // now() is 0.  The callable must outlive its use, so components that
-  // share a registry re-install their own clock on construction.
-  void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
+  // share a registry re-install their own clock on construction, tagged
+  // with themselves as `owner`, and withdraw it with ReleaseClock(owner)
+  // before the state it reads dies.
+  void set_clock(std::function<SimTime()> clock, const void* owner = nullptr) {
+    clock_ = std::move(clock);
+    clock_owner_ = owner;
+  }
+  // Clears the clock if `owner` installed the current one; a clock some
+  // later component installed stays.
+  void ReleaseClock(const void* owner) noexcept {
+    if (owner != nullptr && clock_owner_ == owner) set_clock(nullptr);
+  }
   bool has_clock() const noexcept { return static_cast<bool>(clock_); }
   SimTime now() const { return clock_ ? clock_() : 0; }
 
@@ -114,6 +124,7 @@ class Tracer {
   SpanId next_id_ = 1;  // ring_[(id - 1) % capacity_] is id's slot
   std::vector<SpanId> stack_;
   std::function<SimTime()> clock_;
+  const void* clock_owner_ = nullptr;
 };
 
 // RAII span: begins at construction (tracer clock unless an explicit time

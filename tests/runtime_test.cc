@@ -6,6 +6,7 @@
 #include "packet/flow.h"
 #include "runtime/engine.h"
 #include "runtime/managed_device.h"
+#include "telemetry/telemetry.h"
 
 namespace flexnet::runtime {
 namespace {
@@ -384,6 +385,43 @@ TEST(EngineTest, PacketsSeeConsistentVersions) {
     EXPECT_GE(versions[i], versions[i - 1]);
   }
   EXPECT_EQ(versions.back(), versions.front() + 5);
+}
+
+// The engine points the registry's tracer clock at its simulator; once
+// both are gone, the process-wide tracer must not read the dead simulator.
+TEST(EngineTest, DestructionReleasesTracerClock) {
+  telemetry::Tracer& tracer = telemetry::Default().tracer();
+  auto simulator = std::make_unique<sim::Simulator>();
+  auto engine = std::make_unique<RuntimeEngine>(simulator.get());
+  simulator->RunUntil(5 * kMillisecond);
+  EXPECT_EQ(tracer.now(), 5 * kMillisecond);
+  engine.reset();
+  simulator.reset();
+  EXPECT_FALSE(tracer.has_clock());
+  const telemetry::SpanId id = [&] {
+    telemetry::ScopedSpan span(&tracer, "engine_test.after_engine");
+    return span.id();
+  }();
+  ASSERT_NE(tracer.Find(id), nullptr);
+  EXPECT_EQ(tracer.Find(id)->begin, 0);
+}
+
+// A second live engine on the same registry keeps its clock when an
+// earlier one dies.
+TEST(EngineTest, DestructionKeepsALaterEnginesClock) {
+  telemetry::Tracer& tracer = telemetry::Default().tracer();
+  sim::Simulator live_sim;
+  live_sim.RunUntil(7 * kMillisecond);
+  auto dead_sim = std::make_unique<sim::Simulator>();
+  auto dead = std::make_unique<RuntimeEngine>(dead_sim.get());
+  {
+    RuntimeEngine live(&live_sim);
+    dead.reset();
+    dead_sim.reset();
+    ASSERT_TRUE(tracer.has_clock());
+    EXPECT_EQ(tracer.now(), 7 * kMillisecond);
+  }
+  EXPECT_FALSE(tracer.has_clock());
 }
 
 }  // namespace

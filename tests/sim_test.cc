@@ -133,5 +133,30 @@ TEST(SimulatorTest, ScheduleAtPastClampsToNow) {
   EXPECT_EQ(observed, 100);
 }
 
+// A callable that counts its copies (moves are free).
+struct CopyCounter {
+  int* copies;
+  bool* ran;
+  CopyCounter(int* c, bool* r) : copies(c), ran(r) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), ran(other.ran) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) = default;
+  void operator()() const { *ran = true; }
+};
+
+TEST(SimulatorTest, RunMovesEventsOut) {
+  Simulator sim;
+  int copies = 0;
+  bool ran = false;
+  sim.Schedule(10, CopyCounter(&copies, &ran));
+  sim.Schedule(5, [] {});  // the counted event is not the first popped
+  EXPECT_EQ(copies, 0);
+  sim.Run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(copies, 0);
+}
+
 }  // namespace
 }  // namespace flexnet::sim
