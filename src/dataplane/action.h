@@ -39,11 +39,11 @@ struct OpAddField {   // field := field + operand (wrapping)
   friend bool operator==(const OpAddField&, const OpAddField&) = default;
 };
 struct OpPushHeader {
-  std::string header;
+  packet::InternedName header;
   friend bool operator==(const OpPushHeader&, const OpPushHeader&) = default;
 };
 struct OpPopHeader {
-  std::string header;
+  packet::InternedName header;
   friend bool operator==(const OpPopHeader&, const OpPopHeader&) = default;
 };
 struct OpDrop {
@@ -72,7 +72,7 @@ struct OpCounterInc {
 };
 struct OpMeterExec {      // meta[result_meta] := color (0 green, 1 yellow, 2 red)
   std::string meter_name;
-  std::string result_meta;
+  packet::InternedName result_meta;
   friend bool operator==(const OpMeterExec&, const OpMeterExec&) = default;
 };
 struct OpFlowStateUpdate {  // Mellanox-style stateful table op keyed by 5-tuple

@@ -22,9 +22,9 @@ ExecResult ActionExecutor::Execute(const Action& action, packet::Packet& p,
       const auto current = p.GetField(add->field.ref()).value_or(0);
       p.SetField(add->field.ref(), current + Resolve(add->delta, p));
     } else if (const auto* push = std::get_if<OpPushHeader>(&op)) {
-      p.PushHeader(push->header);
+      p.PushHeader(push->header.sym());
     } else if (const auto* pop = std::get_if<OpPopHeader>(&op)) {
-      p.PopHeader(pop->header);
+      p.PopHeader(pop->header.sym());
     } else if (const auto* drop = std::get_if<OpDrop>(&op)) {
       p.MarkDropped(drop->reason);
       result.dropped = true;
@@ -58,7 +58,7 @@ ExecResult ActionExecutor::Execute(const Action& action, packet::Packet& p,
           color = meter->Execute(now);
         }
       }
-      p.SetMeta(me->result_meta, static_cast<std::uint64_t>(color));
+      p.SetMeta(me->result_meta.sym(), static_cast<std::uint64_t>(color));
     } else if (const auto* fs = std::get_if<OpFlowStateUpdate>(&op)) {
       if (state_ != nullptr) {
         if (StatefulFlowTable* ft = state_->FindFlowTable(fs->table_name)) {

@@ -1,5 +1,7 @@
 #include "dataplane/parser.h"
 
+#include <string_view>
+
 namespace flexnet::dataplane {
 
 ParseGraph::ParseGraph() = default;
@@ -110,45 +112,71 @@ std::size_t ParseGraph::RemoveTransitionsTo(const std::string& state) {
   return removed;
 }
 
+void ParseGraph::RebuildDense() const {
+  dense_states_.clear();
+  dense_edges_.clear();
+  std::unordered_map<std::string_view, std::int32_t> index;
+  index.reserve(states_.size());
+  for (const auto& [name, _] : states_) {
+    index.emplace(name, static_cast<std::int32_t>(index.size()));
+  }
+  const auto target = [&index](const std::string& name) {
+    if (name.empty()) return kAccept;
+    const auto it = index.find(name);
+    return it == index.end() ? kReject : it->second;
+  };
+  dense_states_.resize(states_.size());
+  for (const auto& [name, st] : states_) {
+    DenseState& d = dense_states_[static_cast<std::size_t>(index.at(name))];
+    d.header = packet::Intern(st.name);
+    d.select = st.select_field.empty() ? packet::kInvalidSymbol
+                                       : packet::Intern(st.select_field);
+    d.edges_begin = static_cast<std::uint32_t>(dense_edges_.size());
+    for (const ParseTransition& t : st.transitions) {
+      if (t.is_default) {
+        d.fallback = target(t.next_state);  // the last default wins
+      } else {
+        dense_edges_.push_back(DenseEdge{t.select_value, target(t.next_state)});
+      }
+    }
+    d.edges_end = static_cast<std::uint32_t>(dense_edges_.size());
+  }
+  dense_start_ = start_.empty() ? kReject : target(start_);
+  dense_stale_ = false;
+}
+
 ParseResult ParseGraph::Parse(
     const packet::Packet& p,
     std::vector<packet::FieldRef>* consulted) const {
+  if (dense_stale_) RebuildDense();
   ParseResult result;
-  if (start_.empty()) return result;
-  std::string current = start_;
-  // Cycle guard: a packet has finitely many headers; visiting more states
-  // than headers means the graph loops.
-  std::size_t steps = 0;
-  const std::size_t max_steps = p.headers().size() + 1;
-  while (!current.empty() && steps++ < max_steps) {
-    const auto it = states_.find(current);
-    if (it == states_.end()) return result;  // dangling: reject
-    const ParseState& st = it->second;
-    const packet::Header* h = p.FindHeader(st.name);
+  std::int32_t current = dense_start_;
+  // Cycle guard: every visited state needs its header in the stack, so a
+  // walk that visits more states than there are headers has revisited a
+  // state.  The walk is deterministic, so it would loop forever: reject.
+  std::size_t steps_left = p.headers().size() + 1;
+  while (current >= 0) {
+    if (steps_left-- == 0) return result;
+    const DenseState& st = dense_states_[static_cast<std::size_t>(current)];
+    const packet::Header* h = p.FindHeader(st.header);
     if (h == nullptr) return result;  // expected header absent: reject
-    result.headers_seen.push_back(st.name);
-    if (st.select_field.empty()) break;  // accept
+    result.headers_seen.push_back(st.header);
+    if (st.select == packet::kInvalidSymbol) break;  // accept
     if (consulted != nullptr) {
-      consulted->push_back(
-          packet::FieldRef{h->name_sym(), packet::Intern(st.select_field)});
+      consulted->push_back(packet::FieldRef{st.header, st.select});
     }
-    const auto sel = h->Get(st.select_field);
+    const auto sel = h->Get(st.select);
     if (!sel.has_value()) return result;
-    const ParseTransition* chosen = nullptr;
-    const ParseTransition* fallback = nullptr;
-    for (const ParseTransition& t : st.transitions) {
-      if (t.is_default) {
-        fallback = &t;
-      } else if (t.select_value == *sel) {
-        chosen = &t;
+    // The first transition on the value wins; otherwise the default.
+    current = st.fallback;
+    for (std::uint32_t e = st.edges_begin; e < st.edges_end; ++e) {
+      if (dense_edges_[e].value == *sel) {
+        current = dense_edges_[e].next;
         break;
       }
     }
-    if (chosen == nullptr) chosen = fallback;
-    if (chosen == nullptr) return result;  // no transition: reject
-    current = chosen->next_state;
   }
-  result.accepted = true;
+  result.accepted = current != kReject;
   return result;
 }
 

@@ -34,7 +34,9 @@ struct ParseState {
 
 struct ParseResult {
   bool accepted = false;
-  std::vector<std::string> headers_seen;
+  // The visible headers, outermost first, by header symbol; on a reject,
+  // the states visited before it.
+  packet::SmallVec<packet::Symbol, packet::kInlineHeaders + 1> headers_seen;
 };
 
 class ParseGraph {
@@ -71,10 +73,17 @@ class ParseGraph {
   // --- Execution ---
   // Walks the graph against the packet's header stack.  Headers not visited
   // stay invisible to tables (ParseResult::headers_seen is the visible set).
-  // A packet whose outermost headers cannot be parsed is not accepted.
+  // A packet whose outermost headers cannot be parsed is not accepted, and
+  // neither is one whose walk loops: each visited state needs its header
+  // present, so a walk longer than the header stack has revisited a state
+  // and would never end.
   // When `consulted` is non-null, every select field the walk read (or
   // tried to read) is appended — the megaflow tier's parser key component;
   // header *presence* is covered by Packet::StructureSignature.
+  //
+  // The walk runs over a dense copy of the graph (state indices, header and
+  // select symbols, value -> state-index edges) that the first walk after a
+  // mutation rebuilds, so it hashes no strings and allocates nothing.
   ParseResult Parse(const packet::Packet& p,
                     std::vector<packet::FieldRef>* consulted) const;
   ParseResult Parse(const packet::Packet& p) const { return Parse(p, nullptr); }
@@ -91,13 +100,40 @@ class ParseGraph {
   }
 
  private:
+  // Dense walk table.  A transition target is a state index or one of the
+  // two verdicts below; a dangling target (a name with no state) rejects.
+  static constexpr std::int32_t kAccept = -1;
+  static constexpr std::int32_t kReject = -2;
+  struct DenseEdge {
+    std::uint64_t value = 0;
+    std::int32_t next = kReject;
+  };
+  struct DenseState {
+    packet::Symbol header = packet::kInvalidSymbol;
+    packet::Symbol select = packet::kInvalidSymbol;  // invalid: accept here
+    std::uint32_t edges_begin = 0;
+    std::uint32_t edges_end = 0;
+    std::int32_t fallback = kReject;  // the last default transition
+  };
+
+  // Every mutation goes through here: the dense table is stale and the
+  // owning pipeline's memoized verdicts are too.
   void Bump() noexcept {
+    dense_stale_ = true;
     if (epoch_cell_ != nullptr) ++*epoch_cell_;
   }
+  void RebuildDense() const;
 
   std::unordered_map<std::string, ParseState> states_;
   std::string start_;
   std::uint64_t* epoch_cell_ = nullptr;  // not owned; null when unbound
+
+  // Rebuilt by the first walk after a mutation (walks are single-threaded,
+  // like the rest of the simulated data plane).
+  mutable bool dense_stale_ = true;
+  mutable std::int32_t dense_start_ = kReject;
+  mutable std::vector<DenseState> dense_states_;
+  mutable std::vector<DenseEdge> dense_edges_;
 };
 
 // Builds the canonical L2/L3/L4 graph: eth -> (vlan ->) ipv4 -> tcp|udp.

@@ -292,7 +292,7 @@ void MatchActionTable::SetDefaultAction(Action action) {
 bool MatchActionTable::EntryMatches(const TableEntry& e,
                                     const packet::Packet& p) const {
   for (std::size_t i = 0; i < key_.size(); ++i) {
-    const auto field = p.GetField(key_[i].field);
+    const auto field = p.GetField(key_refs_[i]);
     if (!field.has_value()) return false;
     const MatchValue& m = e.match[i];
     switch (key_[i].kind) {

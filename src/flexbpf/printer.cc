@@ -39,16 +39,16 @@ Result<std::string> PrintActionOp(const dataplane::ActionOp& op) {
     return "add " + a->field.text() + " " + v;
   }
   if (const auto* p = std::get_if<OpPushHeader>(&op)) {
-    return "push " + p->header;
+    return "push " + p->header.text();
   }
   if (const auto* p = std::get_if<OpPopHeader>(&op)) {
-    return "pop " + p->header;
+    return "pop " + p->header.text();
   }
   if (const auto* c = std::get_if<OpCounterInc>(&op)) {
     return "count " + c->counter_name;
   }
   if (const auto* m = std::get_if<OpMeterExec>(&op)) {
-    return "meter " + m->meter_name + " " + m->result_meta;
+    return "meter " + m->meter_name + " " + m->result_meta.text();
   }
   if (const auto* r = std::get_if<OpRegisterWrite>(&op)) {
     FLEXNET_ASSIGN_OR_RETURN(const std::string idx, PrintOperand(r->index));

@@ -110,6 +110,7 @@ void TrafficGenerator::StartSynFlood(DeviceId from, std::uint64_t dst_ip,
     void operator()() const {
       sim::Simulator* sim = gen->network_->simulator();
       if (sim->now() > stop) return;
+      static const packet::Symbol kAttack = packet::Intern("attack");
       packet::PacketBatch batch = gen->network_->AcquireBatch();
       for (std::size_t i = 0; i < burst; ++i) {
         packet::Ipv4Spec ip;
@@ -121,7 +122,7 @@ void TrafficGenerator::StartSynFlood(DeviceId from, std::uint64_t dst_ip,
         tcp.flags = packet::kTcpFlagSyn;
         packet::Packet p =
             packet::MakeTcpPacket(gen->next_packet_id_++, ip, tcp, 64);
-        p.SetMeta("attack", 1);  // ground-truth label for benign/attack stats
+        p.SetMeta(kAttack, 1);  // ground-truth label for benign/attack stats
         ++gen->emitted_;
         batch.Push(std::move(p));
       }

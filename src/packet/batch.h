@@ -92,13 +92,13 @@ class BatchArena {
   std::uint64_t reuses() const noexcept { return reuses_; }
 
   PacketBatch Acquire() {
-    PacketBatch batch(burst_cap_);
-    if (!free_.empty()) {
-      batch.packets_ = std::move(free_.back());
-      free_.pop_back();
-      batch.packets_.clear();
-      ++reuses_;
-    }
+    if (free_.empty()) return PacketBatch(burst_cap_);
+    // No reservation: the pooled buffer replaces the batch's storage.
+    PacketBatch batch(/*burst_cap=*/0);
+    batch.packets_ = std::move(free_.back());
+    free_.pop_back();
+    batch.packets_.clear();
+    ++reuses_;
     return batch;
   }
 

@@ -82,4 +82,27 @@ class FieldPath {
   FieldRef ref_;
 };
 
+// One name (a header, a meta key) that carries both its text (for
+// printing and diffing) and its interned symbol (for per-packet access) —
+// FieldPath's undotted sibling.  Equality compares the text.
+class InternedName {
+ public:
+  InternedName() : InternedName(std::string()) {}
+  InternedName(std::string name)  // NOLINT(google-explicit-constructor)
+      : text_(std::move(name)), sym_(Intern(text_)) {}
+  InternedName(const char* name)  // NOLINT(google-explicit-constructor)
+      : InternedName(std::string(name)) {}
+
+  const std::string& text() const noexcept { return text_; }
+  Symbol sym() const noexcept { return sym_; }
+
+  friend bool operator==(const InternedName& a, const InternedName& b) {
+    return a.text_ == b.text_;
+  }
+
+ private:
+  std::string text_;
+  Symbol sym_ = kInvalidSymbol;
+};
+
 }  // namespace flexnet::packet

@@ -12,28 +12,11 @@ std::uint64_t Mix(std::uint64_t h, std::uint64_t v) noexcept {
 }
 }  // namespace
 
-std::optional<std::uint64_t> Header::Get(std::string_view field) const noexcept {
-  for (const Field& f : fields_) {
-    if (f.name == field) return f.value;
-  }
-  return std::nullopt;
-}
-
 std::optional<std::uint64_t> Header::Get(Symbol field) const noexcept {
   for (const Field& f : fields_) {
     if (f.sym == field) return f.value;
   }
   return std::nullopt;
-}
-
-void Header::Set(std::string_view field, std::uint64_t value) {
-  for (Field& f : fields_) {
-    if (f.name == field) {
-      f.value = value;
-      return;
-    }
-  }
-  fields_.push_back(Field{std::string(field), Intern(field), value});
 }
 
 void Header::Set(Symbol field, std::uint64_t value) {
@@ -43,40 +26,35 @@ void Header::Set(Symbol field, std::uint64_t value) {
       return;
     }
   }
-  fields_.push_back(Field{SymbolName(field), field, value});
+  fields_.push_back(Field{field, value});
+}
+
+std::optional<std::uint64_t> Header::Get(std::string_view field) const noexcept {
+  const Symbol sym = FindSymbol(field);
+  if (sym == kInvalidSymbol) return std::nullopt;
+  return Get(sym);
+}
+
+void Header::Set(std::string_view field, std::uint64_t value) {
+  Set(Intern(field), value);
 }
 
 bool Header::Has(std::string_view field) const noexcept {
   return Get(field).has_value();
 }
 
-Header& Packet::PushHeader(std::string name) {
-  headers_.emplace_back(std::move(name));
-  return headers_.back();
+Header& Packet::PushHeader(Symbol name) {
+  return headers_.emplace_back(name);
 }
 
-bool Packet::PopHeader(std::string_view name) {
-  for (auto it = headers_.begin(); it != headers_.end(); ++it) {
-    if (it->name() == name) {
-      headers_.erase(it);
+bool Packet::PopHeader(Symbol name) {
+  for (const Header* h = headers_.begin(); h != headers_.end(); ++h) {
+    if (h->name_sym() == name) {
+      headers_.erase(h);
       return true;
     }
   }
   return false;
-}
-
-Header* Packet::FindHeader(std::string_view name) noexcept {
-  for (Header& h : headers_) {
-    if (h.name() == name) return &h;
-  }
-  return nullptr;
-}
-
-const Header* Packet::FindHeader(std::string_view name) const noexcept {
-  for (const Header& h : headers_) {
-    if (h.name() == name) return &h;
-  }
-  return nullptr;
 }
 
 Header* Packet::FindHeader(Symbol name) noexcept {
@@ -93,7 +71,60 @@ const Header* Packet::FindHeader(Symbol name) const noexcept {
   return nullptr;
 }
 
-std::optional<std::uint64_t> Packet::GetField(std::string_view dotted) const {
+std::optional<std::uint64_t> Packet::GetField(const FieldRef& ref) const noexcept {
+  if (!ref.valid()) return std::nullopt;
+  if (ref.is_meta()) return GetMeta(ref.field);
+  const Header* h = FindHeader(ref.header);
+  if (h == nullptr) return std::nullopt;
+  return h->Get(ref.field);
+}
+
+bool Packet::SetField(const FieldRef& ref, std::uint64_t value) {
+  if (!ref.valid()) return false;
+  if (ref.is_meta()) {
+    SetMeta(ref.field, value);
+    return true;
+  }
+  Header* h = FindHeader(ref.header);
+  if (h == nullptr) return false;
+  h->Set(ref.field, value);
+  return true;
+}
+
+std::optional<std::uint64_t> Packet::GetMeta(Symbol key) const noexcept {
+  for (const Field& f : meta_) {
+    if (f.sym == key) return f.value;
+  }
+  return std::nullopt;
+}
+
+void Packet::SetMeta(Symbol key, std::uint64_t value) {
+  for (Field& f : meta_) {
+    if (f.sym == key) {
+      f.value = value;
+      return;
+    }
+  }
+  meta_.push_back(Field{key, value});
+}
+
+bool Packet::PopHeader(std::string_view name) {
+  const Symbol sym = FindSymbol(name);
+  return sym != kInvalidSymbol && PopHeader(sym);
+}
+
+Header* Packet::FindHeader(std::string_view name) noexcept {
+  const Symbol sym = FindSymbol(name);
+  return sym == kInvalidSymbol ? nullptr : FindHeader(sym);
+}
+
+const Header* Packet::FindHeader(std::string_view name) const noexcept {
+  const Symbol sym = FindSymbol(name);
+  return sym == kInvalidSymbol ? nullptr : FindHeader(sym);
+}
+
+std::optional<std::uint64_t> Packet::GetField(
+    std::string_view dotted) const noexcept {
   const std::size_t dot = dotted.find('.');
   if (dot == std::string_view::npos) return std::nullopt;
   const std::string_view header = dotted.substr(0, dot);
@@ -119,58 +150,11 @@ bool Packet::SetField(std::string_view dotted, std::uint64_t value) {
   return true;
 }
 
-std::optional<std::uint64_t> Packet::GetField(const FieldRef& ref) const noexcept {
-  if (!ref.valid()) return std::nullopt;
-  if (ref.is_meta()) return GetMeta(ref.field);
-  const Header* h = FindHeader(ref.header);
-  if (h == nullptr) return std::nullopt;
-  return h->Get(ref.field);
-}
-
-bool Packet::SetField(const FieldRef& ref, std::uint64_t value) {
-  if (!ref.valid()) return false;
-  if (ref.is_meta()) {
-    SetMeta(ref.field, value);
-    return true;
-  }
-  Header* h = FindHeader(ref.header);
-  if (h == nullptr) return false;
-  h->Set(ref.field, value);
-  return true;
-}
-
-std::optional<std::uint64_t> Packet::GetMeta(std::string_view key) const noexcept {
-  for (const Field& f : meta_) {
-    if (f.name == key) return f.value;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> Packet::GetMeta(Symbol key) const noexcept {
-  for (const Field& f : meta_) {
-    if (f.sym == key) return f.value;
-  }
-  return std::nullopt;
-}
-
-void Packet::SetMeta(std::string_view key, std::uint64_t value) {
-  for (Field& f : meta_) {
-    if (f.name == key) {
-      f.value = value;
-      return;
-    }
-  }
-  meta_.push_back(Field{std::string(key), Intern(key), value});
-}
-
-void Packet::SetMeta(Symbol key, std::uint64_t value) {
-  for (Field& f : meta_) {
-    if (f.sym == key) {
-      f.value = value;
-      return;
-    }
-  }
-  meta_.push_back(Field{SymbolName(key), key, value});
+std::optional<std::uint64_t> Packet::GetMeta(
+    std::string_view key) const noexcept {
+  const Symbol sym = FindSymbol(key);
+  if (sym == kInvalidSymbol) return std::nullopt;
+  return GetMeta(sym);
 }
 
 std::uint64_t Packet::ContentSignature() const noexcept {
@@ -203,39 +187,73 @@ void Packet::MarkDropped(std::string reason) {
   drop_reason_ = std::move(reason);
 }
 
+namespace {
+
+// The standard builders' names, interned once: building a packet writes
+// symbols only.
+struct StandardSymbols {
+  Symbol eth = Intern("eth");
+  Symbol vlan = Intern("vlan");
+  Symbol ipv4 = Intern("ipv4");
+  Symbol tcp = Intern("tcp");
+  Symbol udp = Intern("udp");
+  Symbol src = Intern("src");
+  Symbol dst = Intern("dst");
+  Symbol type = Intern("type");
+  Symbol id = Intern("id");
+  Symbol proto = Intern("proto");
+  Symbol ttl = Intern("ttl");
+  Symbol dscp = Intern("dscp");
+  Symbol sport = Intern("sport");
+  Symbol dport = Intern("dport");
+  Symbol flags = Intern("flags");
+  Symbol seq = Intern("seq");
+};
+
+const StandardSymbols& Std() {
+  static const StandardSymbols syms;
+  return syms;
+}
+
+}  // namespace
+
 void AddEthernet(Packet& p, const EthernetSpec& spec) {
-  Header& h = p.PushHeader("eth");
-  h.Set("src", spec.src);
-  h.Set("dst", spec.dst);
-  h.Set("type", spec.ethertype);
+  const StandardSymbols& s = Std();
+  Header& h = p.PushHeader(s.eth);
+  h.Set(s.src, spec.src);
+  h.Set(s.dst, spec.dst);
+  h.Set(s.type, spec.ethertype);
 }
 
 void AddVlan(Packet& p, std::uint64_t vlan_id) {
-  Header& h = p.PushHeader("vlan");
-  h.Set("id", vlan_id);
+  const StandardSymbols& s = Std();
+  p.PushHeader(s.vlan).Set(s.id, vlan_id);
 }
 
 void AddIpv4(Packet& p, const Ipv4Spec& spec) {
-  Header& h = p.PushHeader("ipv4");
-  h.Set("src", spec.src);
-  h.Set("dst", spec.dst);
-  h.Set("proto", spec.proto);
-  h.Set("ttl", spec.ttl);
-  h.Set("dscp", spec.dscp);
+  const StandardSymbols& s = Std();
+  Header& h = p.PushHeader(s.ipv4);
+  h.Set(s.src, spec.src);
+  h.Set(s.dst, spec.dst);
+  h.Set(s.proto, spec.proto);
+  h.Set(s.ttl, spec.ttl);
+  h.Set(s.dscp, spec.dscp);
 }
 
 void AddTcp(Packet& p, const TcpSpec& spec) {
-  Header& h = p.PushHeader("tcp");
-  h.Set("sport", spec.sport);
-  h.Set("dport", spec.dport);
-  h.Set("flags", spec.flags);
-  h.Set("seq", spec.seq);
+  const StandardSymbols& s = Std();
+  Header& h = p.PushHeader(s.tcp);
+  h.Set(s.sport, spec.sport);
+  h.Set(s.dport, spec.dport);
+  h.Set(s.flags, spec.flags);
+  h.Set(s.seq, spec.seq);
 }
 
 void AddUdp(Packet& p, const UdpSpec& spec) {
-  Header& h = p.PushHeader("udp");
-  h.Set("sport", spec.sport);
-  h.Set("dport", spec.dport);
+  const StandardSymbols& s = Std();
+  Header& h = p.PushHeader(s.udp);
+  h.Set(s.sport, spec.sport);
+  h.Set(s.dport, spec.dport);
 }
 
 Packet MakeTcpPacket(std::uint64_t id, const Ipv4Spec& ip, const TcpSpec& tcp,

@@ -11,45 +11,56 @@
 // serialization (the simulator never puts packets on a wire).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/types.h"
 #include "packet/intern.h"
+#include "packet/small_vec.h"
 
 namespace flexnet::packet {
 
 struct Field {
-  std::string name;
-  Symbol sym = kInvalidSymbol;  // interned `name`
+  Symbol sym = kInvalidSymbol;  // the field's name, through SymbolName()
   std::uint64_t value = 0;
 };
 
+// Inline capacities of the per-packet arrays (see SmallVec): a header's
+// fields, the header stack, the metadata fields and the hop trace.  The
+// standard builders stay within them (IPv4 has five fields; a VLAN-tagged
+// TCP packet has four headers; the E14 line is seven hops); anything
+// larger spills to the heap and still works.
+inline constexpr std::size_t kInlineFields = 6;
+inline constexpr std::size_t kInlineHeaders = 4;
+inline constexpr std::size_t kInlineMeta = 4;
+inline constexpr std::size_t kInlineHops = 8;
+
 class Header {
  public:
-  Header() = default;
-  explicit Header(std::string name)
-      : name_(std::move(name)), name_sym_(Intern(name_)) {}
+  explicit Header(Symbol name) noexcept : name_sym_(name) {}
 
-  const std::string& name() const noexcept { return name_; }
+  const std::string& name() const { return SymbolName(name_sym_); }
   Symbol name_sym() const noexcept { return name_sym_; }
 
-  std::optional<std::uint64_t> Get(std::string_view field) const noexcept;
   std::optional<std::uint64_t> Get(Symbol field) const noexcept;
   // Sets (adds if absent) a field.
-  void Set(std::string_view field, std::uint64_t value);
   void Set(Symbol field, std::uint64_t value);
+  // String overloads, for builders and tests: Get() and Has() never intern
+  // (a name never interned cannot be a field), Set() interns.
+  std::optional<std::uint64_t> Get(std::string_view field) const noexcept;
+  void Set(std::string_view field, std::uint64_t value);
   bool Has(std::string_view field) const noexcept;
 
-  const std::vector<Field>& fields() const noexcept { return fields_; }
+  const SmallVec<Field, kInlineFields>& fields() const noexcept {
+    return fields_;
+  }
 
  private:
-  std::string name_;
   Symbol name_sym_ = kInvalidSymbol;
-  std::vector<Field> fields_;
+  SmallVec<Field, kInlineFields> fields_;
 };
 
 // One hop of the packet's journey, recorded for consistency analysis:
@@ -72,32 +83,44 @@ class Packet {
   void set_size_bytes(std::uint32_t s) noexcept { size_bytes_ = s; }
 
   // --- Header stack (outermost first) ---
-  Header& PushHeader(std::string name);
+  Header& PushHeader(Symbol name);
   // Removes the outermost header with this name; false if absent.
-  bool PopHeader(std::string_view name);
-  Header* FindHeader(std::string_view name) noexcept;
-  const Header* FindHeader(std::string_view name) const noexcept;
+  bool PopHeader(Symbol name);
   Header* FindHeader(Symbol name) noexcept;
   const Header* FindHeader(Symbol name) const noexcept;
-  bool HasHeader(std::string_view name) const noexcept {
-    return FindHeader(name) != nullptr;
+  const SmallVec<Header, kInlineHeaders>& headers() const noexcept {
+    return headers_;
   }
-  const std::vector<Header>& headers() const noexcept { return headers_; }
 
   // "ipv4.dst" style dotted access used by match keys and FlexBPF.
-  std::optional<std::uint64_t> GetField(std::string_view dotted) const;
-  bool SetField(std::string_view dotted, std::uint64_t value);
-  // Pre-resolved fast path: no string split, symbol compares only.  Invalid
-  // refs (non-dotted source strings) behave like the string overloads.
+  // Pre-resolved: symbol compares only.  Invalid refs (non-dotted source
+  // strings) read as absent and write nowhere.
   std::optional<std::uint64_t> GetField(const FieldRef& ref) const noexcept;
   bool SetField(const FieldRef& ref, std::uint64_t value);
 
   // --- Per-packet metadata (scratch space, reset at each device) ---
-  std::optional<std::uint64_t> GetMeta(std::string_view key) const noexcept;
   std::optional<std::uint64_t> GetMeta(Symbol key) const noexcept;
-  void SetMeta(std::string_view key, std::uint64_t value);
   void SetMeta(Symbol key, std::uint64_t value);
   void ClearMeta() { meta_.clear(); }
+  const SmallVec<Field, kInlineMeta>& meta() const noexcept { return meta_; }
+
+  // String overloads, for builders and tests only: each costs an interner
+  // probe, so no per-packet path calls them.  Lookups never intern — a
+  // name never interned reads as absent — while writes that add a header,
+  // field or meta key intern its name.
+  Header& PushHeader(std::string_view name) { return PushHeader(Intern(name)); }
+  bool PopHeader(std::string_view name);
+  Header* FindHeader(std::string_view name) noexcept;
+  const Header* FindHeader(std::string_view name) const noexcept;
+  bool HasHeader(std::string_view name) const noexcept {
+    return FindHeader(name) != nullptr;
+  }
+  std::optional<std::uint64_t> GetField(std::string_view dotted) const noexcept;
+  bool SetField(std::string_view dotted, std::uint64_t value);
+  std::optional<std::uint64_t> GetMeta(std::string_view key) const noexcept;
+  void SetMeta(std::string_view key, std::uint64_t value) {
+    SetMeta(Intern(key), value);
+  }
 
   // Order-sensitive digest of the packet's content — the header stack
   // (names, fields, values) plus metadata.  Differential tests compare it
@@ -121,7 +144,9 @@ class Packet {
   void RecordHop(DeviceId device, std::uint64_t program_version, SimTime at) {
     trace_.push_back(HopRecord{device, program_version, at});
   }
-  const std::vector<HopRecord>& trace() const noexcept { return trace_; }
+  const SmallVec<HopRecord, kInlineHops>& trace() const noexcept {
+    return trace_;
+  }
 
   SimTime created_at = 0;
   SimTime delivered_at = 0;
@@ -139,10 +164,10 @@ class Packet {
  private:
   std::uint64_t id_ = 0;
   std::uint32_t size_bytes_ = 1000;
-  std::vector<Header> headers_;
-  std::vector<Field> meta_;
-  std::vector<HopRecord> trace_;
   bool dropped_ = false;
+  SmallVec<Header, kInlineHeaders> headers_;
+  SmallVec<Field, kInlineMeta> meta_;
+  SmallVec<HopRecord, kInlineHops> trace_;
   std::string drop_reason_;
 };
 

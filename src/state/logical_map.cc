@@ -6,6 +6,29 @@ namespace flexnet::state {
 
 namespace {
 
+// A map's declared cells by interned name; a cell's position in
+// declaration order is its slot, -1 when the declaration does not name it.
+class CellSlots {
+ public:
+  explicit CellSlots(const std::vector<std::string>& cells) {
+    syms_.reserve(cells.size());
+    for (const std::string& cell : cells) syms_.push_back(packet::Intern(cell));
+  }
+  int Of(packet::Symbol cell) const noexcept {
+    for (std::size_t i = 0; i < syms_.size(); ++i) {
+      if (syms_[i] == cell) return static_cast<int>(i);
+    }
+    return -1;
+  }
+  // Never interns: a name never interned is no declared cell.
+  int Of(const std::string& cell) const noexcept {
+    return Of(packet::FindSymbol(cell));
+  }
+
+ private:
+  std::vector<packet::Symbol> syms_;
+};
+
 // P4 register-extern encoding: one register array per cell column, indexed
 // by key modulo the declared size (keys collide by design, as they would on
 // real register-based sketches/arrays).
@@ -104,10 +127,18 @@ class RegisterEncodedMap final : public EncodedMap {
 
 // Mellanox-style stateful-table encoding: exact per-key state with
 // data-plane insertion; bounded by declared size, drops new keys when full.
+// A key maps to a row index, and a row is the declared cells' values,
+// dense and in declaration order, so a cell resolves to a slot as in the
+// flow-instruction encoding.  Cells the declaration does not name read as
+// 0 and write nowhere, as in the other encodings (the verifier rejects
+// programs that use them).  Rows are never removed short of Clear(), so
+// row indices stay dense and the key index needs no tombstones: it is an
+// open-addressing table of row numbers, probed linearly and kept at most
+// half full.
 class StatefulTableEncodedMap final : public EncodedMap {
  public:
   explicit StatefulTableEncodedMap(const flexbpf::MapDecl& decl)
-      : decl_(decl), table_(decl.name, decl.size) {}
+      : decl_(decl), slots_(decl.cells) {}
 
   const std::string& name() const noexcept override { return decl_.name; }
   flexbpf::MapEncoding encoding() const noexcept override {
@@ -116,25 +147,38 @@ class StatefulTableEncodedMap final : public EncodedMap {
   std::size_t size() const noexcept override { return decl_.size; }
 
   std::uint64_t Load(std::uint64_t key, const std::string& cell) override {
-    return table_.Read(KeyOf(key), cell).value_or(0);
+    return LoadSlot(key, slots_.Of(cell));
   }
   void Store(std::uint64_t key, const std::string& cell,
              std::uint64_t value) override {
-    // Stateful tables express writes as read-modify-write in the pipeline.
-    const std::uint64_t current = Load(key, cell);
-    table_.Update(KeyOf(key), cell, value - current, /*now=*/0);
+    StoreSlot(key, slots_.Of(cell), value);
   }
   void Add(std::uint64_t key, const std::string& cell,
            std::uint64_t delta) override {
-    table_.Update(KeyOf(key), cell, delta, /*now=*/0);
+    AddSlot(key, slots_.Of(cell), delta);
   }
 
+  std::uint64_t Load(std::uint64_t key, packet::Symbol cell) override {
+    return LoadSlot(key, slots_.Of(cell));
+  }
+  void Store(std::uint64_t key, packet::Symbol cell,
+             std::uint64_t value) override {
+    StoreSlot(key, slots_.Of(cell), value);
+  }
+  void Add(std::uint64_t key, packet::Symbol cell,
+           std::uint64_t delta) override {
+    AddSlot(key, slots_.Of(cell), delta);
+  }
+
+  // Rows in insertion order, cells in declaration order.
   MapSnapshot Export() const override {
     MapSnapshot snapshot;
-    for (const auto& [key, flow_state] : table_.flows()) {
-      for (const auto& [cell, value] : flow_state.cells) {
-        if (value != 0) {
-          snapshot.push_back(MapCellValue{key.src_ip, cell, value});
+    const std::size_t width = decl_.cells.size();
+    for (std::size_t row = 0; row < row_keys_.size(); ++row) {
+      for (std::size_t s = 0; s < width; ++s) {
+        const std::uint64_t v = cells_[row * width + s];
+        if (v != 0) {
+          snapshot.push_back(MapCellValue{row_keys_[row], decl_.cells[s], v});
         }
       }
     }
@@ -143,16 +187,81 @@ class StatefulTableEncodedMap final : public EncodedMap {
   void Import(const MapSnapshot& snapshot) override {
     for (const MapCellValue& v : snapshot) Add(v.key, v.cell, v.value);
   }
-  void Clear() override { table_.Clear(); }
+  void Clear() override {
+    index_.clear();
+    row_keys_.clear();
+    cells_.clear();
+  }
 
  private:
-  static packet::FlowKey KeyOf(std::uint64_t key) noexcept {
-    packet::FlowKey k;
-    k.src_ip = key;  // logical 64-bit key rides in one tuple slot
-    return k;
+  std::uint64_t LoadSlot(std::uint64_t key, int slot) const {
+    if (slot < 0) return 0;
+    const std::uint32_t row = FindRow(key);
+    return row == kNoRow ? 0 : cells_[RowBase(row) + slot];
   }
+  // Stateful tables write in the pipeline: the first write to a key takes
+  // a row (even a write of 0), and a full table drops new keys.
+  void StoreSlot(std::uint64_t key, int slot, std::uint64_t value) {
+    if (slot < 0) return;
+    if (std::uint64_t* row = Row(key)) row[slot] = value;
+  }
+  void AddSlot(std::uint64_t key, int slot, std::uint64_t delta) {
+    if (slot < 0) return;
+    if (std::uint64_t* row = Row(key)) row[slot] += delta;
+  }
+
+  // The key's row, inserted (zeroed) when absent and the table has room;
+  // null when the table is full and the key is new.
+  std::uint64_t* Row(std::uint64_t key) {
+    if (const std::uint32_t row = FindRow(key); row != kNoRow) {
+      return cells_.data() + RowBase(row);
+    }
+    if (row_keys_.size() >= decl_.size) return nullptr;
+    const auto row = static_cast<std::uint32_t>(row_keys_.size());
+    row_keys_.push_back(key);
+    cells_.resize(cells_.size() + decl_.cells.size(), 0);
+    if (2 * row_keys_.size() > index_.size()) {
+      Reindex(std::max<std::size_t>(16, 2 * index_.size()));
+    } else {
+      index_[FreeSlotFor(key)] = row + 1;
+    }
+    return cells_.data() + RowBase(row);
+  }
+
+  static constexpr std::uint32_t kNoRow = 0xffffffffu;
+  // Fibonacci hashing onto the power-of-two index.
+  std::size_t Home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 32) &
+           (index_.size() - 1);
+  }
+  std::uint32_t FindRow(std::uint64_t key) const noexcept {
+    if (index_.empty()) return kNoRow;
+    for (std::size_t i = Home(key);; i = (i + 1) & (index_.size() - 1)) {
+      const std::uint32_t entry = index_[i];
+      if (entry == 0) return kNoRow;
+      if (row_keys_[entry - 1] == key) return entry - 1;
+    }
+  }
+  std::size_t FreeSlotFor(std::uint64_t key) const noexcept {
+    std::size_t i = Home(key);
+    while (index_[i] != 0) i = (i + 1) & (index_.size() - 1);
+    return i;
+  }
+  void Reindex(std::size_t slots) {
+    index_.assign(slots, 0);
+    for (std::size_t row = 0; row < row_keys_.size(); ++row) {
+      index_[FreeSlotFor(row_keys_[row])] = static_cast<std::uint32_t>(row + 1);
+    }
+  }
+  std::size_t RowBase(std::uint32_t row) const noexcept {
+    return static_cast<std::size_t>(row) * decl_.cells.size();
+  }
+
   flexbpf::MapDecl decl_;
-  dataplane::StatefulFlowTable table_;
+  CellSlots slots_;
+  std::vector<std::uint32_t> index_;     // key -> row + 1; 0 = empty slot
+  std::vector<std::uint64_t> row_keys_;  // row -> key
+  std::vector<std::uint64_t> cells_;  // row-major, decl_.cells.size() wide
 };
 
 // PoF flow-instruction encoding: per-flow slot array addressed by key hash;
@@ -160,12 +269,9 @@ class StatefulTableEncodedMap final : public EncodedMap {
 class FlowInstructionEncodedMap final : public EncodedMap {
  public:
   explicit FlowInstructionEncodedMap(const flexbpf::MapDecl& decl)
-      : decl_(decl), cells_(decl.size * decl.cells.size(), 0) {
-    cell_syms_.reserve(decl.cells.size());
-    for (const std::string& cell : decl.cells) {
-      cell_syms_.push_back(packet::Intern(cell));
-    }
-  }
+      : decl_(decl),
+        slots_(decl.cells),
+        cells_(decl.size * decl.cells.size(), 0) {}
 
   const std::string& name() const noexcept override { return decl_.name; }
   flexbpf::MapEncoding encoding() const noexcept override {
@@ -174,29 +280,29 @@ class FlowInstructionEncodedMap final : public EncodedMap {
   std::size_t size() const noexcept override { return decl_.size; }
 
   std::uint64_t Load(std::uint64_t key, const std::string& cell) override {
-    const auto slot = SlotOf(cell);
+    const auto slot = slots_.Of(cell);
     return slot < 0 ? 0 : cells_[IndexOf(key, static_cast<std::size_t>(slot))];
   }
   void Store(std::uint64_t key, const std::string& cell,
              std::uint64_t value) override {
-    const auto slot = SlotOf(cell);
+    const auto slot = slots_.Of(cell);
     if (slot >= 0) cells_[IndexOf(key, static_cast<std::size_t>(slot))] = value;
   }
   void Add(std::uint64_t key, const std::string& cell,
            std::uint64_t delta) override {
-    const auto slot = SlotOf(cell);
+    const auto slot = slots_.Of(cell);
     if (slot >= 0) cells_[IndexOf(key, static_cast<std::size_t>(slot))] += delta;
   }
 
   std::uint64_t Load(std::uint64_t key, packet::Symbol cell) override {
-    const auto slot = SlotOfSym(cell);
+    const auto slot = slots_.Of(cell);
     return slot < 0 ? 0 : cells_[IndexOf(key, static_cast<std::size_t>(slot))];
   }
 
   // Slot array: direct access is cells[(key % size) * ncells + slot], and
   // the vector is sized once at construction.
   flexbpf::DirectCells ResolveCell(packet::Symbol cell) override {
-    const int slot = SlotOfSym(cell);
+    const int slot = slots_.Of(cell);
     if (slot < 0 || decl_.size == 0) return {};
     return flexbpf::DirectCells::Of(
         cells_.data(), decl_.size,
@@ -206,12 +312,12 @@ class FlowInstructionEncodedMap final : public EncodedMap {
 
   void Store(std::uint64_t key, packet::Symbol cell,
              std::uint64_t value) override {
-    const auto slot = SlotOfSym(cell);
+    const auto slot = slots_.Of(cell);
     if (slot >= 0) cells_[IndexOf(key, static_cast<std::size_t>(slot))] = value;
   }
   void Add(std::uint64_t key, packet::Symbol cell,
            std::uint64_t delta) override {
-    const auto slot = SlotOfSym(cell);
+    const auto slot = slots_.Of(cell);
     if (slot >= 0) cells_[IndexOf(key, static_cast<std::size_t>(slot))] += delta;
   }
 
@@ -233,24 +339,12 @@ class FlowInstructionEncodedMap final : public EncodedMap {
   void Clear() override { std::fill(cells_.begin(), cells_.end(), 0); }
 
  private:
-  int SlotOf(const std::string& cell) const noexcept {
-    for (std::size_t i = 0; i < decl_.cells.size(); ++i) {
-      if (decl_.cells[i] == cell) return static_cast<int>(i);
-    }
-    return -1;
-  }
-  int SlotOfSym(packet::Symbol cell) const noexcept {
-    for (std::size_t i = 0; i < cell_syms_.size(); ++i) {
-      if (cell_syms_[i] == cell) return static_cast<int>(i);
-    }
-    return -1;
-  }
   std::size_t IndexOf(std::uint64_t key, std::size_t slot) const noexcept {
     return (key % decl_.size) * decl_.cells.size() + slot;
   }
   flexbpf::MapDecl decl_;
+  CellSlots slots_;
   std::vector<std::uint64_t> cells_;
-  std::vector<packet::Symbol> cell_syms_;  // declaration order, == slots
 };
 
 }  // namespace

@@ -50,21 +50,15 @@ class EncodedMap {
   virtual void Add(std::uint64_t key, const std::string& cell,
                    std::uint64_t delta) = 0;
 
-  // Symbol-addressed cell access for the compiled FlexBPF executor.
-  // Defaults delegate to the string API; the register and flow-instruction
-  // encodings override with pre-resolved cell slots so the per-packet path
-  // does no string hashing or comparison.
-  virtual std::uint64_t Load(std::uint64_t key, packet::Symbol cell) {
-    return Load(key, packet::SymbolName(cell));
-  }
+  // Symbol-addressed cell access for the compiled FlexBPF executor: every
+  // encoding resolves the cell to a pre-interned slot, so the per-packet
+  // path does no string hashing or comparison.  Cells the declaration does
+  // not name read as 0 and write nowhere, through either API.
+  virtual std::uint64_t Load(std::uint64_t key, packet::Symbol cell) = 0;
   virtual void Store(std::uint64_t key, packet::Symbol cell,
-                     std::uint64_t value) {
-    Store(key, packet::SymbolName(cell), value);
-  }
+                     std::uint64_t value) = 0;
   virtual void Add(std::uint64_t key, packet::Symbol cell,
-                   std::uint64_t delta) {
-    Add(key, packet::SymbolName(cell), delta);
-  }
+                   std::uint64_t delta) = 0;
 
   // Direct binding (see flexbpf::MapBackend::Resolve): encodings whose
   // cell columns are dense, side-effect-free uint64 arrays with stable

@@ -408,6 +408,30 @@ TEST(PipelineTest, RemoveTable) {
   EXPECT_FALSE(pipe.RemoveTable("t").ok());
 }
 
+TEST(PipelineTest, LoopingParseGraphRejectsThroughTheCache) {
+  Pipeline pipe;
+  ASSERT_TRUE(pipe.AddTable("t", {{"eth.dst", MatchKind::kExact, 48}}, 4).ok());
+  ASSERT_TRUE(pipe.parser().RemoveTransition("eth", 0x0800).ok());
+  ASSERT_TRUE(pipe.parser().AddTransition("eth", 0x0800, "eth").ok());
+  // The slow path memoizes the reject; the second packet replays it.
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    packet::Packet p(id);
+    packet::AddEthernet(p, packet::EthernetSpec{});
+    const PipelineResult r = pipe.Process(p, 0);
+    EXPECT_TRUE(r.dropped);
+    EXPECT_EQ(p.drop_reason(), "parse_reject");
+    EXPECT_EQ(r.tables_traversed, 0u);
+  }
+  EXPECT_EQ(pipe.megaflow_misses(), 1u);
+  EXPECT_EQ(pipe.megaflow_hits(), 1u);
+  // With the cache off the walk itself rejects.
+  pipe.set_flow_cache_enabled(false);
+  packet::Packet p(3);
+  packet::AddEthernet(p, packet::EthernetSpec{});
+  EXPECT_TRUE(pipe.Process(p, 0).dropped);
+  EXPECT_EQ(p.drop_reason(), "parse_reject");
+}
+
 TEST(PipelineTest, UnparseablePacketDropped) {
   Pipeline pipe;  // standard parse graph
   packet::Packet p(1);

@@ -170,7 +170,7 @@ std::uint64_t RunDigest(std::uint64_t seed) {
     for (const packet::Header& h : p.headers()) {
       digest.Add(h.name());
       for (const packet::Field& f : h.fields()) {
-        digest.Add(f.name);
+        digest.Add(packet::SymbolName(f.sym));
         digest.Add(f.value);
       }
     }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "packet/batch.h"
 #include "packet/flow.h"
 #include "packet/packet.h"
 
@@ -120,6 +121,27 @@ TEST(FlowTest, HashStableAndSensitive) {
 TEST(FlowTest, ToTextFormat) {
   FlowKey k{1, 2, 6, 10, 20};
   EXPECT_EQ(k.ToText(), "1:10->2:20/6");
+}
+
+TEST(BatchArenaTest, RecycledBufferReturnsWithCapacityIntact) {
+  BatchArena arena(8);
+  PacketBatch batch = arena.Acquire();
+  EXPECT_EQ(batch.capacity(), 8u);
+  for (std::uint64_t i = 0; i < 12; ++i) batch.Push(Packet(i));  // grows
+  const std::size_t grown = batch.capacity();
+  const Packet* storage = batch.span().data();
+  arena.Recycle(std::move(batch));
+  EXPECT_EQ(arena.pooled(), 1u);
+
+  PacketBatch reused = arena.Acquire();
+  EXPECT_EQ(arena.reuses(), 1u);
+  EXPECT_EQ(arena.pooled(), 0u);
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(reused.capacity(), grown);
+  EXPECT_EQ(reused.span().data(), storage);  // the very same buffer
+
+  PacketBatch fresh = arena.Acquire();  // pool empty: a new reservation
+  EXPECT_EQ(fresh.capacity(), 8u);
 }
 
 }  // namespace

@@ -6,6 +6,15 @@
 namespace flexnet::dataplane {
 namespace {
 
+// The visible headers' names, outermost first.
+std::vector<std::string> SeenNames(const ParseResult& r) {
+  std::vector<std::string> names;
+  for (const packet::Symbol sym : r.headers_seen) {
+    names.push_back(packet::SymbolName(sym));
+  }
+  return names;
+}
+
 TEST(ParseGraphTest, StandardGraphAcceptsTcpUdp) {
   const ParseGraph g = MakeStandardParseGraph();
   packet::Packet tcp = packet::MakeTcpPacket(1, packet::Ipv4Spec{1, 2},
@@ -25,7 +34,7 @@ TEST(ParseGraphTest, StandardGraphAcceptsVlanTagged) {
   packet::AddTcp(p, packet::TcpSpec{});
   const ParseResult r = g.Parse(p);
   EXPECT_TRUE(r.accepted);
-  EXPECT_EQ(r.headers_seen,
+  EXPECT_EQ(SeenNames(r),
             (std::vector<std::string>{"eth", "vlan", "ipv4", "tcp"}));
 }
 
@@ -70,7 +79,7 @@ TEST(ParseGraphTest, RuntimeRemoveProtocolState) {
   // the graph, so TCP packets accept early... removal rewires to accept.
   const ParseResult r = g.Parse(tcp);
   EXPECT_TRUE(r.accepted);
-  EXPECT_EQ(r.headers_seen.back(), "ipv4");
+  EXPECT_EQ(SeenNames(r).back(), "ipv4");
 }
 
 TEST(ParseGraphTest, DuplicateStateRejected) {
@@ -119,7 +128,27 @@ TEST(ParseGraphTest, SetStartValidation) {
                                            packet::TcpSpec{});
   const ParseResult r = g.Parse(p);
   EXPECT_TRUE(r.accepted);
-  EXPECT_EQ(r.headers_seen.front(), "ipv4");
+  EXPECT_EQ(SeenNames(r).front(), "ipv4");
+}
+
+TEST(ParseGraphTest, LoopingGraphRejected) {
+  // eth's type 0x0800 leads back to eth: the walk visits eth, then eth
+  // again, and would never end.  Running out of steps is a reject.
+  ParseGraph g = MakeStandardParseGraph();
+  ASSERT_TRUE(g.RemoveTransition("eth", 0x0800).ok());
+  ASSERT_TRUE(g.AddTransition("eth", 0x0800, "eth").ok());
+  packet::Packet p(1);
+  packet::AddEthernet(p, packet::EthernetSpec{});
+  const ParseResult r = g.Parse(p);
+  EXPECT_FALSE(r.accepted);
+  EXPECT_EQ(SeenNames(r), (std::vector<std::string>{"eth", "eth"}));
+  EXPECT_FALSE(g.Accepts(p));
+  // The loop closes only on 0x0800; other ethertypes still reject cleanly
+  // and a rewired graph accepts again.
+  ASSERT_TRUE(g.RemoveTransition("eth", 0x0800).ok());
+  ASSERT_TRUE(g.AddTransition("eth", 0x0800, "ipv4").ok());
+  EXPECT_TRUE(g.Accepts(
+      packet::MakeTcpPacket(2, packet::Ipv4Spec{1, 2}, packet::TcpSpec{})));
 }
 
 }  // namespace
