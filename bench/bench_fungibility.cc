@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "compiler/compile.h"
+#include "compiler/incremental.h"
 
 using namespace flexnet;
 
@@ -101,9 +102,10 @@ ChurnOutcome RunChurn(const std::string& kind, std::uint64_t seed) {
     // Departure pressure: every third step one random program leaves.
     if (i % 3 == 2 && !installed.empty()) {
       const std::size_t victim = rng.NextBounded(installed.size());
-      const auto plans = compiler::MakeRemovalPlans(
-          installed[victim].program, installed[victim].compiled);
-      for (const auto& [_, plan] : plans) (void)device.ApplyAll(plan);
+      const auto plans = compiler::ComputeDevicePlans(
+          installed[victim].program, installed[victim].compiled, {}, {},
+          slice);
+      for (const auto& [_, plan] : plans.value()) (void)device.ApplyAll(plan);
       installed.erase(installed.begin() +
                       static_cast<std::ptrdiff_t>(victim));
     }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "compiler/incremental.h"
+
 namespace flexnet::compiler {
 
 const char* ToString(PlacementStrategy s) noexcept {
@@ -79,6 +81,8 @@ dataplane::TableResources MapDemand(const flexbpf::MapDecl& map) {
   return demand;
 }
 
+}  // namespace
+
 bool DomainAllows(flexbpf::Domain domain, arch::ArchKind kind) noexcept {
   switch (domain) {
     case flexbpf::Domain::kAny:
@@ -91,7 +95,10 @@ bool DomainAllows(flexbpf::Domain domain, arch::ArchKind kind) noexcept {
   return false;
 }
 
-}  // namespace
+std::string ReservationName(ElementKind kind, const std::string& name) {
+  if (kind == ElementKind::kFunction) return "fn:" + name;
+  return kind == ElementKind::kMap ? "map:" + name : name;
+}
 
 // Tracks probe reservations so every path out of TryPlace restores devices.
 struct Compiler::ProbeSession {
@@ -189,10 +196,7 @@ Result<CompiledProgram> Compiler::TryPlace(
                                std::string(ToString(domain)) + "' for '" +
                                name + "'");
     }
-    const std::string reservation_name =
-        kind == ElementKind::kFunction
-            ? "fn:" + name
-            : (kind == ElementKind::kMap ? "map:" + name : name);
+    const std::string reservation_name = ReservationName(kind, name);
 
     if (options_.strategy == PlacementStrategy::kBestFit) {
       // Probe every candidate; keep the one with max post-fit utilization.
@@ -236,14 +240,11 @@ Result<CompiledProgram> Compiler::TryPlace(
   };
 
   // 1. Tables, in pipeline order.
-  std::unordered_map<std::string, runtime::ManagedDevice*> table_device;
   for (std::size_t i = 0; i < program.tables.size(); ++i) {
     const flexbpf::TableDecl& table = program.tables[i];
-    FLEXNET_ASSIGN_OR_RETURN(
-        runtime::ManagedDevice * device,
-        place(ElementKind::kTable, table.name, DemandOf(table),
-              flexbpf::Domain::kAny, i, nullptr));
-    table_device[table.name] = device;
+    FLEXNET_RETURN_IF_ERROR(place(ElementKind::kTable, table.name,
+                                  DemandOf(table), flexbpf::Domain::kAny, i,
+                                  nullptr));
   }
   // 2. Functions.
   std::unordered_map<std::string, runtime::ManagedDevice*> function_device;
@@ -256,7 +257,6 @@ Result<CompiledProgram> Compiler::TryPlace(
   }
   // 3. Maps — collocated with their first user when possible (state and
   // compute should not be separated by a link).
-  std::unordered_map<std::string, runtime::ManagedDevice*> map_device;
   for (const flexbpf::MapDecl& map : program.maps) {
     runtime::ManagedDevice* preferred = nullptr;
     for (const flexbpf::FunctionDecl& fn : program.functions) {
@@ -266,57 +266,17 @@ Result<CompiledProgram> Compiler::TryPlace(
         break;
       }
     }
-    FLEXNET_ASSIGN_OR_RETURN(
-        runtime::ManagedDevice * device,
-        place(ElementKind::kMap, map.name, MapDemand(map),
-              flexbpf::Domain::kAny, SIZE_MAX, preferred));
-    map_device[map.name] = device;
+    FLEXNET_RETURN_IF_ERROR(place(ElementKind::kMap, map.name, MapDemand(map),
+                                  flexbpf::Domain::kAny, SIZE_MAX, preferred));
   }
 
-  // 4. Emit one plan per involved device.  Order inside a plan: maps,
-  // parser states, tables (pipeline order), then functions.
-  const auto plan_for = [&](runtime::ManagedDevice* device)
-      -> runtime::ReconfigPlan& {
-    runtime::ReconfigPlan& plan = out.plans[device->id()];
-    if (plan.description.empty()) {
-      plan.description = "install " + program.name + " on " + device->name();
-    }
-    return plan;
-  };
-  for (const flexbpf::MapDecl& map : program.maps) {
-    runtime::ManagedDevice* device = map_device[map.name];
-    runtime::StepAddMap step;
-    step.decl = map;
-    step.encoding = ResolveEncoding(map.encoding, device->device().arch());
-    plan_for(device).steps.push_back(std::move(step));
+  // 4. Plans: a deploy is an update from the empty program.
+  out.slice.reserve(slice.size());
+  for (const runtime::ManagedDevice* device : slice) {
+    out.slice.push_back(device->id());
   }
-  // Header requirements are *whole-slice*: a protocol a program introduces
-  // must be parseable on every device its traffic can traverse, or packets
-  // die at the first hop that has not learned the header.
-  for (const flexbpf::HeaderRequirement& req : program.headers) {
-    for (runtime::ManagedDevice* device : slice) {
-      if (device->device().pipeline().parser().HasState(req.header)) continue;
-      runtime::StepAddParserState step;
-      step.state.name = req.header;
-      step.from = req.after;
-      step.select_value = req.select_value;
-      plan_for(device).steps.push_back(std::move(step));
-    }
-  }
-  for (std::size_t i = 0; i < program.tables.size(); ++i) {
-    const flexbpf::TableDecl& table = program.tables[i];
-    runtime::StepAddTable step;
-    step.decl = table;
-    step.position = SIZE_MAX;  // per-device order follows emission order
-    step.order_hint = i;
-    step.order_group = order_group;
-    plan_for(table_device[table.name]).steps.push_back(std::move(step));
-  }
-  for (const flexbpf::FunctionDecl& fn : program.functions) {
-    runtime::StepAddFunction step;
-    step.fn = fn;
-    plan_for(function_device[fn.name]).steps.push_back(std::move(step));
-  }
+  FLEXNET_ASSIGN_OR_RETURN(out.plans,
+                           ComputeDevicePlans({}, {}, program, out, slice));
 
   // 5. Predicted cost: per-device pipeline length after install.
   std::unordered_map<DeviceId, std::size_t> elements_on;
@@ -371,35 +331,6 @@ Result<CompiledProgram> Compiler::Compile(
                            "' does not fit slice after " +
                            std::to_string(options_.max_iterations) +
                            " iterations: " + last_error);
-}
-
-std::unordered_map<DeviceId, runtime::ReconfigPlan> MakeRemovalPlans(
-    const flexbpf::ProgramIR& program, const CompiledProgram& compiled) {
-  std::unordered_map<DeviceId, runtime::ReconfigPlan> plans;
-  const auto plan_for = [&](DeviceId id) -> runtime::ReconfigPlan& {
-    runtime::ReconfigPlan& plan = plans[id];
-    if (plan.description.empty()) {
-      plan.description = "remove " + program.name;
-    }
-    return plan;
-  };
-  // Reverse install order: functions, tables, parser states, maps.
-  for (const ElementPlacement& p : compiled.placements) {
-    if (p.kind == ElementKind::kFunction) {
-      plan_for(p.device).steps.push_back(runtime::StepRemoveFunction{p.name});
-    }
-  }
-  for (const ElementPlacement& p : compiled.placements) {
-    if (p.kind == ElementKind::kTable) {
-      plan_for(p.device).steps.push_back(runtime::StepRemoveTable{p.name});
-    }
-  }
-  for (const ElementPlacement& p : compiled.placements) {
-    if (p.kind == ElementKind::kMap) {
-      plan_for(p.device).steps.push_back(runtime::StepRemoveMap{p.name});
-    }
-  }
-  return plans;
 }
 
 }  // namespace flexnet::compiler

@@ -15,8 +15,9 @@
 //     repacking) and a caller-supplied garbage-collection hook that
 //     evicts unused programs — then retries.
 //
-// Output is one ReconfigPlan per device; the RuntimeEngine applies them
-// hitlessly.
+// Output is one ReconfigPlan per device (ComputeDevicePlans from an empty
+// program: a deploy is an update from empty); the RuntimeEngine applies
+// them hitlessly.
 #pragma once
 
 #include <functional>
@@ -67,6 +68,8 @@ struct ElementPlacement {
 struct CompiledProgram {
   std::string program_name;
   std::vector<ElementPlacement> placements;
+  // The devices the program was deployed on: each parses its headers.
+  std::vector<DeviceId> slice;
   std::unordered_map<DeviceId, runtime::ReconfigPlan> plans;
   SimDuration predicted_latency = 0;  // sum over devices on the slice
   double predicted_energy_nj = 0.0;
@@ -76,6 +79,13 @@ struct CompiledProgram {
                                const std::string& name) const noexcept;
   std::size_t TotalPlanOps() const noexcept;
 };
+
+// True when an element of `domain` may run on a device of kind `kind`.
+bool DomainAllows(flexbpf::Domain domain, arch::ArchKind kind) noexcept;
+
+// The name an element's device reservation goes by: a table's own name,
+// "fn:<name>" for a function, "map:<name>" for a map.
+std::string ReservationName(ElementKind kind, const std::string& name);
 
 // Resolves MapEncoding::kAuto for a target architecture.
 flexbpf::MapEncoding ResolveEncoding(flexbpf::MapEncoding requested,
@@ -102,10 +112,5 @@ class Compiler {
 
   CompileOptions options_;
 };
-
-// Builds the per-device plans that *remove* a previously compiled program
-// (used for tenant departure and the full-recompile baseline).
-std::unordered_map<DeviceId, runtime::ReconfigPlan> MakeRemovalPlans(
-    const flexbpf::ProgramIR& program, const CompiledProgram& compiled);
 
 }  // namespace flexnet::compiler

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace flexnet::compiler {
 
@@ -129,6 +128,147 @@ Result<dataplane::TableEntry> ResolveEntry(const flexbpf::TableDecl& table,
   return entry;
 }
 
+// The one step emitter: appends the steps taking a device from the
+// `before` side of `delta` to its `after` side.  `program` is the whole new
+// program (order hints, entry actions); map encodings resolve for `arch`.
+Status EmitSteps(const ProgramDelta& delta, const flexbpf::ProgramIR& program,
+                 arch::ArchKind arch, runtime::ReconfigPlan& plan) {
+  // Removals first (they free the resources the additions need):
+  // functions, tables, maps.
+  for (const std::string& name : delta.functions_removed) {
+    plan.steps.push_back(runtime::StepRemoveFunction{name});
+  }
+  for (const std::string& name : delta.tables_removed) {
+    plan.steps.push_back(runtime::StepRemoveTable{name});
+  }
+  for (const std::string& name : delta.maps_removed) {
+    plan.steps.push_back(runtime::StepRemoveMap{name});
+  }
+  // Parser states last among removals: the tables matching on these
+  // headers are removed above, so no table is left matching an
+  // unparseable header.  Without this, retire (update-to-empty) would
+  // leave the app's parser states installed on every device.
+  for (const std::string& header : delta.headers_removed) {
+    plan.steps.push_back(runtime::StepRemoveParserState{header});
+  }
+
+  // Restructured tables: remove + re-add in place (the element stays on
+  // this device; a table that moves is a removal here and an addition on
+  // its new device).
+  for (const flexbpf::TableDecl& table : delta.tables_restructured) {
+    plan.steps.push_back(runtime::StepRemoveTable{table.name});
+    runtime::StepAddTable add;
+    add.decl = table;
+    plan.steps.push_back(std::move(add));
+  }
+
+  // Changed functions: replace in place.
+  for (const flexbpf::FunctionDecl& fn : delta.functions_changed) {
+    plan.steps.push_back(runtime::StepRemoveFunction{fn.name});
+    runtime::StepAddFunction add;
+    add.fn = fn;
+    plan.steps.push_back(std::move(add));
+  }
+
+  // Additions: maps, parser states, tables (pipeline order), functions.
+  for (const flexbpf::MapDecl& map : delta.maps_added) {
+    runtime::StepAddMap step;
+    step.decl = map;
+    step.encoding = ResolveEncoding(map.encoding, arch);
+    plan.steps.push_back(std::move(step));
+  }
+  for (const flexbpf::HeaderRequirement& req : delta.headers_added) {
+    runtime::StepAddParserState step;
+    step.state.name = req.header;
+    step.from = req.after;
+    step.select_value = req.select_value;
+    plan.steps.push_back(std::move(step));
+  }
+  // Stage-ordering metadata: the table's index within the whole new
+  // program and the program's identity as the order group, so staged
+  // architectures keep one program's tables in pipeline order.
+  const std::uint64_t order_group = std::hash<std::string>{}(program.name) | 1;
+  for (const flexbpf::TableDecl& table : delta.tables_added) {
+    runtime::StepAddTable step;
+    step.decl = table;  // carries initial entries: deploy == update-from-empty
+    for (std::size_t i = 0; i < program.tables.size(); ++i) {
+      if (program.tables[i].name == table.name) {
+        step.order_hint = i;
+        step.order_group = order_group;
+        break;
+      }
+    }
+    plan.steps.push_back(std::move(step));
+  }
+  for (const flexbpf::FunctionDecl& fn : delta.functions_added) {
+    runtime::StepAddFunction step;
+    step.fn = fn;
+    plan.steps.push_back(std::move(step));
+  }
+
+  // Entry-level deltas: control-plane writes against the hosting table.
+  for (const EntryDelta& ed : delta.entry_deltas) {
+    const flexbpf::TableDecl* table = program.FindTable(ed.table);
+    if (table == nullptr) {
+      return Internal("entry delta against unknown table '" + ed.table + "'");
+    }
+    for (const auto& match : ed.removed) {
+      plan.steps.push_back(runtime::StepRemoveEntry{ed.table, match});
+    }
+    for (const flexbpf::InitialEntry& e : ed.added) {
+      FLEXNET_ASSIGN_OR_RETURN(dataplane::TableEntry entry,
+                               ResolveEntry(*table, e));
+      plan.steps.push_back(runtime::StepAddEntry{ed.table, std::move(entry)});
+    }
+  }
+  return OkStatus();
+}
+
+runtime::ManagedDevice* FindDevice(
+    const std::vector<runtime::ManagedDevice*>& devices, DeviceId id) {
+  for (runtime::ManagedDevice* d : devices) {
+    if (d->id() == id) return d;
+  }
+  return nullptr;
+}
+
+// What `device` hosts of `program` under `book` (ComputeDevicePlans).
+flexbpf::ProgramIR ProjectOnto(const flexbpf::ProgramIR& program,
+                               const CompiledProgram& book, DeviceId device) {
+  const auto placed_here = [&](ElementKind kind, const std::string& name) {
+    const ElementPlacement* p = book.Find(kind, name);
+    return p != nullptr && p->device == device;
+  };
+  flexbpf::ProgramIR projection;
+  projection.name = program.name;
+  for (const flexbpf::MapDecl& map : program.maps) {
+    if (placed_here(ElementKind::kMap, map.name)) {
+      projection.maps.push_back(map);
+    }
+  }
+  for (const flexbpf::TableDecl& table : program.tables) {
+    if (placed_here(ElementKind::kTable, table.name)) {
+      projection.tables.push_back(table);
+    }
+  }
+  for (const flexbpf::FunctionDecl& fn : program.functions) {
+    if (placed_here(ElementKind::kFunction, fn.name)) {
+      projection.functions.push_back(fn);
+    }
+  }
+  // Header requirements are whole-slice: a protocol the program introduces
+  // must parse on every device its traffic can traverse, or packets die at
+  // the first hop that has not learned the header.
+  const bool parses_headers =
+      std::find(book.slice.begin(), book.slice.end(), device) !=
+          book.slice.end() ||
+      std::any_of(
+          book.placements.begin(), book.placements.end(),
+          [&](const ElementPlacement& p) { return p.device == device; });
+  if (parses_headers) projection.headers = program.headers;
+  return projection;
+}
+
 }  // namespace
 
 Result<ClassPlanResult> ComputeClassPlan(const flexbpf::ProgramIR& before,
@@ -145,132 +285,47 @@ Result<ClassPlanResult> ComputeClassPlan(const flexbpf::ProgramIR& before,
 
   ClassPlanResult result;
   result.delta = DiffPrograms(before, verified);
-  runtime::ReconfigPlan& plan = result.plan;
-  plan.description = "class plan: " + before.name + " -> " + verified.name +
-                     " on " + arch::ToString(arch);
-  const ProgramDelta& delta = result.delta;
-
-  // Removals first (they free the resources the additions need), in the
-  // same order Recompile uses: functions, tables, maps.
-  for (const std::string& name : delta.functions_removed) {
-    plan.steps.push_back(runtime::StepRemoveFunction{name});
-    ++result.structural_ops;
-  }
-  for (const std::string& name : delta.tables_removed) {
-    plan.steps.push_back(runtime::StepRemoveTable{name});
-    ++result.structural_ops;
-  }
-  for (const std::string& name : delta.maps_removed) {
-    plan.steps.push_back(runtime::StepRemoveMap{name});
-    ++result.structural_ops;
-  }
-  // Parser states last among removals: the tables matching on these
-  // headers are removed above, so no table is left matching an
-  // unparseable header.  Without this, retire (update-to-empty) would
-  // leave the app's parser states installed on every device.
-  for (const std::string& header : delta.headers_removed) {
-    plan.steps.push_back(runtime::StepRemoveParserState{header});
-    ++result.structural_ops;
-  }
-
-  // Restructured tables: remove + re-add in place (full-copy model — the
-  // element stays on this device by construction).
-  for (const flexbpf::TableDecl& table : delta.tables_restructured) {
-    plan.steps.push_back(runtime::StepRemoveTable{table.name});
-    runtime::StepAddTable add;
-    add.decl = table;
-    plan.steps.push_back(std::move(add));
-    result.structural_ops += 2;
-  }
-
-  // Changed functions: replace in place.
-  for (const flexbpf::FunctionDecl& fn : delta.functions_changed) {
-    plan.steps.push_back(runtime::StepRemoveFunction{fn.name});
-    runtime::StepAddFunction add;
-    add.fn = fn;
-    plan.steps.push_back(std::move(add));
-    result.structural_ops += 2;
-  }
-
-  // Additions, in the full compiler's per-device emission order: maps,
-  // parser states, tables (pipeline order), functions.
-  for (const flexbpf::MapDecl& map : delta.maps_added) {
-    runtime::StepAddMap step;
-    step.decl = map;
-    step.encoding = ResolveEncoding(map.encoding, arch);
-    plan.steps.push_back(std::move(step));
-    ++result.structural_ops;
-  }
-  for (const flexbpf::HeaderRequirement& req : delta.headers_added) {
-    runtime::StepAddParserState step;
-    step.state.name = req.header;
-    step.from = req.after;
-    step.select_value = req.select_value;
-    plan.steps.push_back(std::move(step));
-    ++result.structural_ops;
-  }
-  // Stage-ordering metadata mirrors compile.cc: the table's index within
-  // the *new* program and the program's identity as the order group.
-  const std::uint64_t order_group = std::hash<std::string>{}(verified.name) | 1;
-  for (const flexbpf::TableDecl& table : delta.tables_added) {
-    runtime::StepAddTable step;
-    step.decl = table;  // carries initial entries: deploy == update-from-empty
-    for (std::size_t i = 0; i < verified.tables.size(); ++i) {
-      if (verified.tables[i].name == table.name) {
-        step.order_hint = i;
-        step.order_group = order_group;
-        break;
-      }
-    }
-    plan.steps.push_back(std::move(step));
-    ++result.structural_ops;
-  }
-  for (const flexbpf::FunctionDecl& fn : delta.functions_added) {
-    runtime::StepAddFunction step;
-    step.fn = fn;
-    plan.steps.push_back(std::move(step));
-    ++result.structural_ops;
-  }
-
-  // Entry-level deltas: control-plane writes against the hosting table.
-  for (const EntryDelta& ed : delta.entry_deltas) {
-    const flexbpf::TableDecl* table = verified.FindTable(ed.table);
-    if (table == nullptr) {
-      return Internal("entry delta against unknown table '" + ed.table + "'");
-    }
-    for (const auto& match : ed.removed) {
-      plan.steps.push_back(runtime::StepRemoveEntry{ed.table, match});
-      ++result.entry_ops;
-    }
-    for (const flexbpf::InitialEntry& e : ed.added) {
-      FLEXNET_ASSIGN_OR_RETURN(dataplane::TableEntry entry,
-                               ResolveEntry(*table, e));
-      plan.steps.push_back(runtime::StepAddEntry{ed.table, std::move(entry)});
-      ++result.entry_ops;
-    }
-  }
+  result.plan.description = "class plan: " + before.name + " -> " +
+                            verified.name + " on " + arch::ToString(arch);
+  FLEXNET_RETURN_IF_ERROR(EmitSteps(result.delta, verified, arch, result.plan));
   return result;
 }
 
-CompiledProgram BindFullCopy(const flexbpf::ProgramIR& program,
-                             DeviceId device) {
-  CompiledProgram bound;
-  bound.program_name = program.name;
-  bound.placements.reserve(program.tables.size() + program.functions.size() +
-                           program.maps.size());
-  for (const flexbpf::TableDecl& t : program.tables) {
-    bound.placements.push_back(
-        ElementPlacement{ElementKind::kTable, t.name, device, "fleet"});
+Result<std::unordered_map<DeviceId, runtime::ReconfigPlan>> ComputeDevicePlans(
+    const flexbpf::ProgramIR& before, const CompiledProgram& before_book,
+    const flexbpf::ProgramIR& after, const CompiledProgram& after_book,
+    const std::vector<runtime::ManagedDevice*>& devices) {
+  // Every device either book touches, in first-seen order.
+  std::vector<DeviceId> touched;
+  const auto touch = [&](DeviceId id) {
+    if (std::find(touched.begin(), touched.end(), id) == touched.end()) {
+      touched.push_back(id);
+    }
+  };
+  for (const CompiledProgram* book : {&before_book, &after_book}) {
+    for (const ElementPlacement& p : book->placements) touch(p.device);
+    for (const DeviceId id : book->slice) touch(id);
   }
-  for (const flexbpf::FunctionDecl& f : program.functions) {
-    bound.placements.push_back(
-        ElementPlacement{ElementKind::kFunction, f.name, device, "fleet"});
+
+  std::unordered_map<DeviceId, runtime::ReconfigPlan> plans;
+  for (const DeviceId id : touched) {
+    const runtime::ManagedDevice* device = FindDevice(devices, id);
+    if (device == nullptr) {
+      return NotFound("device " + std::to_string(id.value()) +
+                      " hosts part of '" + after.name +
+                      "' but is not among the devices");
+    }
+    const ProgramDelta delta =
+        DiffPrograms(ProjectOnto(before, before_book, id),
+                     ProjectOnto(after, after_book, id));
+    runtime::ReconfigPlan plan;
+    plan.description =
+        before.name + " -> " + after.name + " on " + device->name();
+    FLEXNET_RETURN_IF_ERROR(
+        EmitSteps(delta, after, device->device().arch(), plan));
+    if (!plan.steps.empty()) plans.emplace(id, std::move(plan));
   }
-  for (const flexbpf::MapDecl& m : program.maps) {
-    bound.placements.push_back(
-        ElementPlacement{ElementKind::kMap, m.name, device, "fleet"});
-  }
-  return bound;
+  return plans;
 }
 
 Result<IncrementalResult> IncrementalCompiler::Recompile(
@@ -303,21 +358,6 @@ Result<IncrementalResult> IncrementalCompiler::Recompile(
   telemetry::ScopedSpan plan_span(&tracer, "compiler.plan", after.name);
 
   IncrementalResult result;
-  result.compiled.program_name = verified.name;
-
-  const auto find_device = [&](DeviceId id) -> runtime::ManagedDevice* {
-    for (runtime::ManagedDevice* d : slice) {
-      if (d->id() == id) return d;
-    }
-    return nullptr;
-  };
-  const auto plan_for = [&](DeviceId id) -> runtime::ReconfigPlan& {
-    runtime::ReconfigPlan& plan = result.plans[id];
-    if (plan.description.empty()) {
-      plan.description = "incremental update of " + verified.name;
-    }
-    return plan;
-  };
 
   // Adjacency preference: the device hosting the most elements of this
   // program, for placing additions next to their siblings.
@@ -329,7 +369,7 @@ Result<IncrementalResult> IncrementalCompiler::Recompile(
   std::size_t best_weight = 0;
   for (const auto& [id, weight] : host_weight) {
     if (weight > best_weight) {
-      if (runtime::ManagedDevice* d = find_device(id)) {
+      if (runtime::ManagedDevice* d = FindDevice(slice, id)) {
         best_weight = weight;
         adjacent_preferred = d;
       }
@@ -360,36 +400,25 @@ Result<IncrementalResult> IncrementalCompiler::Recompile(
   const auto place_new =
       [&](ElementKind kind, const std::string& name,
           const dataplane::TableResources& demand,
-          flexbpf::Domain domain) -> Result<runtime::ManagedDevice*> {
+          flexbpf::Domain domain) -> Status {
     std::vector<runtime::ManagedDevice*> candidates;
     if (adjacent_preferred != nullptr) candidates.push_back(adjacent_preferred);
     for (runtime::ManagedDevice* d : slice) {
       if (d != adjacent_preferred) candidates.push_back(d);
     }
-    const std::string reservation =
-        kind == ElementKind::kFunction
-            ? "fn:" + name
-            : (kind == ElementKind::kMap ? "map:" + name : name);
+    const std::string reservation = ReservationName(kind, name);
     const std::uint64_t order_group =
         std::hash<std::string>{}(verified.name) | 1;
     std::string last_error = "no candidates";
     for (runtime::ManagedDevice* device : candidates) {
-      const arch::ArchKind arch_kind = device->device().arch();
-      const bool domain_ok =
-          domain == flexbpf::Domain::kAny ||
-          (domain == flexbpf::Domain::kEndpoint &&
-           (arch_kind == arch::ArchKind::kNic ||
-            arch_kind == arch::ArchKind::kHost)) ||
-          (domain == flexbpf::Domain::kHost &&
-           arch_kind == arch::ArchKind::kHost);
-      if (!domain_ok) continue;
+      if (!DomainAllows(domain, device->device().arch())) continue;
       auto probe = device->device().ReserveTable(reservation, demand,
                                                   SIZE_MAX, order_group);
       if (probe.ok()) {
         (void)device->device().ReleaseTable(reservation);
         placements.push_back(
             ElementPlacement{kind, name, device->id(), probe.value()});
-        return device;
+        return OkStatus();
       }
       last_error = probe.error().message();
     }
@@ -399,36 +428,23 @@ Result<IncrementalResult> IncrementalCompiler::Recompile(
 
   // --- Removals first (they free resources the additions may need). ---
   for (const std::string& name : delta.functions_removed) {
-    if (const ElementPlacement* p =
-            placement_of(ElementKind::kFunction, name)) {
-      plan_for(p->device).steps.push_back(runtime::StepRemoveFunction{name});
-      ++result.structural_ops;
-    }
     drop_placement(ElementKind::kFunction, name);
   }
   for (const std::string& name : delta.tables_removed) {
-    if (const ElementPlacement* p = placement_of(ElementKind::kTable, name)) {
-      plan_for(p->device).steps.push_back(runtime::StepRemoveTable{name});
-      ++result.structural_ops;
-    }
     drop_placement(ElementKind::kTable, name);
   }
   for (const std::string& name : delta.maps_removed) {
-    if (const ElementPlacement* p = placement_of(ElementKind::kMap, name)) {
-      plan_for(p->device).steps.push_back(runtime::StepRemoveMap{name});
-      ++result.structural_ops;
-    }
     drop_placement(ElementKind::kMap, name);
   }
 
-  // --- Restructured tables: remove+add, same device when it still fits.
+  // --- Restructured tables: same device when the new shape still fits.
   for (const flexbpf::TableDecl& table : delta.tables_restructured) {
     const ElementPlacement* old_place =
         placement_of(ElementKind::kTable, table.name);
     runtime::ManagedDevice* old_device =
-        old_place != nullptr ? find_device(old_place->device) : nullptr;
+        old_place != nullptr ? FindDevice(slice, old_place->device) : nullptr;
     drop_placement(ElementKind::kTable, table.name);
-    runtime::ManagedDevice* target = nullptr;
+    bool fits = false;
     if (old_device != nullptr) {
       // The old reservation still sits on the device; adding the new shape
       // is feasible if the *delta* fits, probed with a scratch name.
@@ -436,125 +452,68 @@ Result<IncrementalResult> IncrementalCompiler::Recompile(
           "probe:" + table.name, table.Resources(), SIZE_MAX, 0);
       if (probe.ok()) {
         (void)old_device->device().ReleaseTable("probe:" + table.name);
-        target = old_device;
+        fits = true;
       }
     }
-    if (target != nullptr) {
-      runtime::ReconfigPlan& plan = plan_for(target->id());
-      plan.steps.push_back(runtime::StepRemoveTable{table.name});
-      runtime::StepAddTable add;
-      add.decl = table;
-      plan.steps.push_back(std::move(add));
-      result.structural_ops += 2;
+    if (fits) {
       placements.push_back(ElementPlacement{ElementKind::kTable, table.name,
-                                            target->id(), "adjacent"});
+                                            old_device->id(), "adjacent"});
     } else {
-      // Move: remove where it was, place fresh elsewhere.
-      if (old_device != nullptr) {
-        plan_for(old_device->id())
-            .steps.push_back(runtime::StepRemoveTable{table.name});
-        ++result.structural_ops;
-      }
-      FLEXNET_ASSIGN_OR_RETURN(
-          runtime::ManagedDevice * moved,
-          place_new(ElementKind::kTable, table.name, table.Resources(),
-                    flexbpf::Domain::kAny));
-      runtime::StepAddTable add;
-      add.decl = table;
-      plan_for(moved->id()).steps.push_back(std::move(add));
-      ++result.structural_ops;
+      FLEXNET_RETURN_IF_ERROR(place_new(ElementKind::kTable, table.name,
+                                        table.Resources(),
+                                        flexbpf::Domain::kAny));
       ++result.moved_elements;
     }
   }
 
-  // --- Changed functions: replace in place (functions are tiny).
+  // --- Changed functions are replaced in place (functions are tiny).
   for (const flexbpf::FunctionDecl& fn : delta.functions_changed) {
-    const ElementPlacement* p = placement_of(ElementKind::kFunction, fn.name);
-    if (p == nullptr) {
+    if (placement_of(ElementKind::kFunction, fn.name) == nullptr) {
       return Internal("changed function '" + fn.name + "' has no placement");
     }
-    runtime::ReconfigPlan& plan = plan_for(p->device);
-    plan.steps.push_back(runtime::StepRemoveFunction{fn.name});
-    runtime::StepAddFunction add;
-    add.fn = fn;
-    plan.steps.push_back(std::move(add));
-    result.structural_ops += 2;
   }
 
   // --- Additions.
   for (const flexbpf::MapDecl& map : delta.maps_added) {
     dataplane::TableResources demand;
     demand.state_bytes = map.StateBytes();
-    FLEXNET_ASSIGN_OR_RETURN(runtime::ManagedDevice * device,
-                             place_new(ElementKind::kMap, map.name, demand,
-                                       flexbpf::Domain::kAny));
-    runtime::StepAddMap step;
-    step.decl = map;
-    step.encoding = ResolveEncoding(map.encoding, device->device().arch());
-    plan_for(device->id()).steps.push_back(std::move(step));
-    ++result.structural_ops;
-  }
-  for (const flexbpf::HeaderRequirement& req : delta.headers_added) {
-    // Install on every device hosting this program's elements.
-    std::unordered_set<std::uint64_t> devices;
-    for (const ElementPlacement& p : placements) devices.insert(p.device.value());
-    for (const std::uint64_t raw : devices) {
-      runtime::StepAddParserState step;
-      step.state.name = req.header;
-      step.from = req.after;
-      step.select_value = req.select_value;
-      plan_for(DeviceId(raw)).steps.push_back(std::move(step));
-      ++result.structural_ops;
-    }
+    FLEXNET_RETURN_IF_ERROR(place_new(ElementKind::kMap, map.name, demand,
+                                      flexbpf::Domain::kAny));
   }
   for (const flexbpf::TableDecl& table : delta.tables_added) {
-    FLEXNET_ASSIGN_OR_RETURN(
-        runtime::ManagedDevice * device,
-        place_new(ElementKind::kTable, table.name, table.Resources(),
-                  flexbpf::Domain::kAny));
-    runtime::StepAddTable step;
-    step.decl = table;
-    plan_for(device->id()).steps.push_back(std::move(step));
-    ++result.structural_ops;
+    FLEXNET_RETURN_IF_ERROR(place_new(ElementKind::kTable, table.name,
+                                      table.Resources(),
+                                      flexbpf::Domain::kAny));
   }
   for (const flexbpf::FunctionDecl& fn : delta.functions_added) {
     dataplane::TableResources demand;
     demand.action_slots = 1;
-    FLEXNET_ASSIGN_OR_RETURN(
-        runtime::ManagedDevice * device,
+    FLEXNET_RETURN_IF_ERROR(
         place_new(ElementKind::kFunction, fn.name, demand, fn.domain));
-    runtime::StepAddFunction step;
-    step.fn = fn;
-    plan_for(device->id()).steps.push_back(std::move(step));
-    ++result.structural_ops;
   }
 
-  // --- Entry-level deltas: control-plane writes on the hosting device.
+  // --- Entry-level deltas ride on the table's existing placement.
   for (const EntryDelta& ed : delta.entry_deltas) {
-    const ElementPlacement* p = placement_of(ElementKind::kTable, ed.table);
-    const flexbpf::TableDecl* table = verified.FindTable(ed.table);
-    if (p == nullptr || table == nullptr) {
+    if (placement_of(ElementKind::kTable, ed.table) == nullptr) {
       return Internal("entry delta against unplaced table '" + ed.table + "'");
     }
-    runtime::ReconfigPlan& plan = plan_for(p->device);
-    for (const auto& match : ed.removed) {
-      plan.steps.push_back(runtime::StepRemoveEntry{ed.table, match});
-      ++result.entry_ops;
-    }
-    for (const flexbpf::InitialEntry& e : ed.added) {
-      FLEXNET_ASSIGN_OR_RETURN(dataplane::TableEntry entry,
-                               ResolveEntry(*table, e));
-      plan.steps.push_back(runtime::StepAddEntry{ed.table, std::move(entry)});
-      ++result.entry_ops;
-    }
   }
 
+  result.compiled.program_name = verified.name;
+  result.compiled.placements = std::move(placements);
+  result.compiled.slice = existing.slice;
+  FLEXNET_ASSIGN_OR_RETURN(result.plans,
+                           ComputeDevicePlans(before, existing, verified,
+                                              result.compiled, slice));
+  for (const auto& [_, plan] : result.plans) {
+    result.structural_ops += plan.StructuralOpCount();
+    result.entry_ops += plan.OpCount() - plan.StructuralOpCount();
+  }
   plan_span.Annotate("structural_ops", std::to_string(result.structural_ops));
   plan_span.Annotate("entry_ops", std::to_string(result.entry_ops));
   plan_span.Annotate("moved_elements", std::to_string(result.moved_elements));
   plan_span.End();
 
-  result.compiled.placements = std::move(placements);
   result.compiled.plans = result.plans;
   return result;
 }
@@ -565,7 +524,9 @@ Result<FullRecompileEstimate> EstimateFullRecompile(
     const std::vector<runtime::ManagedDevice*>& slice,
     CompileOptions options) {
   FullRecompileEstimate estimate;
-  const auto removal_plans = MakeRemovalPlans(before, existing);
+  FLEXNET_ASSIGN_OR_RETURN(
+      const auto removal_plans,
+      ComputeDevicePlans(before, existing, {}, {}, slice));
   for (const auto& [_, plan] : removal_plans) {
     estimate.removal_ops += plan.OpCount();
   }
@@ -578,19 +539,10 @@ Result<FullRecompileEstimate> EstimateFullRecompile(
     std::size_t position;
   };
   std::vector<Lifted> lifted;
-  const auto find_device = [&](DeviceId id) -> runtime::ManagedDevice* {
-    for (runtime::ManagedDevice* d : slice) {
-      if (d->id() == id) return d;
-    }
-    return nullptr;
-  };
   for (const ElementPlacement& p : existing.placements) {
-    runtime::ManagedDevice* device = find_device(p.device);
+    runtime::ManagedDevice* device = FindDevice(slice, p.device);
     if (device == nullptr) continue;
-    std::string reservation =
-        p.kind == ElementKind::kFunction
-            ? "fn:" + p.name
-            : (p.kind == ElementKind::kMap ? "map:" + p.name : p.name);
+    std::string reservation = ReservationName(p.kind, p.name);
     // Reconstruct demand from the program declaration.
     dataplane::TableResources demand;
     demand.action_slots = 0;  // only tables/functions consume action slots

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "compiler/compile.h"
@@ -40,11 +41,9 @@ struct ProgramDelta {
   std::vector<flexbpf::MapDecl> maps_added;
   std::vector<std::string> maps_removed;
   std::vector<flexbpf::HeaderRequirement> headers_added;
-  // Header names no longer required by any requirement in `after`.  The
-  // full-copy class-plan path retires their parser states (the tables
-  // matching on them are removed in the same plan, removals first); the
-  // sliced Recompile path leaves retirement to the composer, which sees
-  // every co-hosted app.
+  // Header names no longer required by any requirement in `after`.  Their
+  // parser states are retired after the tables matching on them (removals
+  // first); parser-state owners keep a state another app still needs.
   std::vector<std::string> headers_removed;
 
   bool Empty() const noexcept;
@@ -55,25 +54,24 @@ struct ProgramDelta {
 ProgramDelta DiffPrograms(const flexbpf::ProgramIR& before,
                           const flexbpf::ProgramIR& after);
 
-// --- Pure plan computation (the fleet path) -------------------------------
+// --- The step emitter -------------------------------------------------------
 //
-// At fleet scale every device hosts a *full copy* of the program, so the
-// plan taking `before` to `after` depends only on (diff, arch kind) — not
-// on which device it lands on.  ComputeClassPlan is that pure computation:
-// no device probing, no placement search, verified once per equivalence
-// class and cached (compiler/plan_cache.h); BindFullCopy is the
-// device-specific binding step, a mechanical placement-book rehydration.
-// Recompile() below remains the sliced path where elements spread across
-// devices and placement genuinely needs live probes.
+// Every reconfiguration plan the compiler produces turns one device's
+// program diff into steps in one place.  At fleet scale every device hosts
+// a *full copy* of the program, so the plan taking `before` to `after`
+// depends only on (diff, arch kind) — not on which device it lands on.
+// ComputeClassPlan is that pure computation: no device probing, no
+// placement search, verified once per equivalence class and cached
+// (compiler/plan_cache.h).  On the sliced path elements spread across
+// devices: ComputeDevicePlans diffs each device's *projection* of the
+// program — what a placement book puts there — with the same emitter, so a
+// deploy is an update from empty, a retire an update to empty and a
+// migration a placement-book change.
 
 struct ClassPlanResult {
   // Device-agnostic steps for one device of the class's arch kind.
   runtime::ReconfigPlan plan;
   ProgramDelta delta;
-  std::size_t structural_ops = 0;
-  std::size_t entry_ops = 0;
-
-  std::size_t TotalOps() const noexcept { return structural_ops + entry_ops; }
 };
 
 // Computes the single-device plan updating a full copy of `before` into a
@@ -85,10 +83,19 @@ Result<ClassPlanResult> ComputeClassPlan(const flexbpf::ProgramIR& before,
                                          const flexbpf::ProgramIR& after,
                                          arch::ArchKind arch);
 
-// Device-specific binding of a class plan: the placement book for a device
-// hosting every element of `program`.  O(elements), no probing.
-CompiledProgram BindFullCopy(const flexbpf::ProgramIR& program,
-                             DeviceId device);
+// Per-device plans taking `before`, placed by `before_book`, to `after`,
+// placed by `after_book`.  A device's projection of a program holds the
+// elements its book places there, plus the program's header requirements
+// when the device is in the book's slice or hosts an element.  Each
+// device either book touches gets ComputeClassPlan's steps for the diff of
+// its two projections; a device whose plan is empty gets no plan.  A
+// table's order hint is its index in the whole `after` program.  `devices`
+// resolves device ids (map encodings are per arch).  Pure: touches no
+// devices, verifies nothing.
+Result<std::unordered_map<DeviceId, runtime::ReconfigPlan>> ComputeDevicePlans(
+    const flexbpf::ProgramIR& before, const CompiledProgram& before_book,
+    const flexbpf::ProgramIR& after, const CompiledProgram& after_book,
+    const std::vector<runtime::ManagedDevice*>& devices);
 
 // --- Sliced incremental path ----------------------------------------------
 
@@ -109,20 +116,20 @@ class IncrementalCompiler {
   // Recompile() records causal spans (compiler.incremental with
   // verify/diff/plan children) into `metrics`'s tracer (the process
   // Default() registry when null).
-  explicit IncrementalCompiler(CompileOptions options = {},
-                               telemetry::MetricsRegistry* metrics = nullptr)
-      : options_(options),
-        metrics_(metrics ? metrics : &telemetry::Default()) {}
+  explicit IncrementalCompiler(telemetry::MetricsRegistry* metrics = nullptr)
+      : metrics_(metrics ? metrics : &telemetry::Default()) {}
 
   // `existing` is the placement book from the previous (applied) compile of
-  // `before`.  Devices in `slice` hold the old program's resources.
+  // `before`.  Devices in `slice` hold the old program's resources.  New
+  // elements go next to the program's existing ones, and a restructured
+  // table moves only when it no longer fits where it is; the plans are
+  // ComputeDevicePlans(before, existing, after, <the new book>).
   Result<IncrementalResult> Recompile(
       const flexbpf::ProgramIR& before, const flexbpf::ProgramIR& after,
       const CompiledProgram& existing,
       const std::vector<runtime::ManagedDevice*>& slice);
 
  private:
-  CompileOptions options_;
   telemetry::MetricsRegistry* metrics_;
 };
 

@@ -119,6 +119,13 @@ std::uint64_t FingerprintDevice(const runtime::ManagedDevice& device) {
       state = MixBytes(state, t.next_state);
       state = MixU64(state, t.is_default ? 1 : 0);
     }
+    if (const auto* owners = device.FindParserStateOwners(name)) {
+      state = MixU64(state, owners->installed ? 1 : 0);
+      for (const std::string& owner : owners->apps) {
+        state = MixBytes(state, "owner");
+        state = MixBytes(state, owner);
+      }
+    }
   }
 
   // Installed FlexBPF functions, canonical text form.

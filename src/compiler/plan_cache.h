@@ -67,7 +67,8 @@ std::uint64_t FingerprintPlacement(const flexbpf::ProgramIR& program);
 
 // Hosted-state fingerprint read from the live device: arch kind, pipeline
 // tables in execution order (key specs, capacity, live entries), the
-// parse graph (name-sorted states with their transitions), installed
+// parse graph (name-sorted states with their transitions and, when a
+// state has owners, the owning apps and whether they installed it), installed
 // FlexBPF functions, and the encoded map set.  Program-version counters
 // are deliberately excluded: the class is defined by *what* the device
 // hosts, not how many steps it took to get there.

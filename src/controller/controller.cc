@@ -33,7 +33,7 @@ std::vector<runtime::ManagedDevice*> Controller::AllDevices() const {
 }
 
 Result<WaveApplyOutcome> Controller::ApplyPlanWave(
-    std::vector<WavePlanAssignment> wave) {
+    std::vector<WavePlanAssignment> wave, std::string_view owner) {
   WaveApplyOutcome outcome;
   outcome.finished = network_->simulator()->now();
   if (wave.empty()) return outcome;
@@ -99,7 +99,7 @@ Result<WaveApplyOutcome> Controller::ApplyPlanWave(
     reconfig_ops_ += assignment->plan->OpCount();
     interior_done = std::max(
         interior_done, engine_.ApplyShared(*device, assignment->plan,
-                                           on_done_for(device->id())));
+                                           on_done_for(device->id()), owner));
   }
   // Phase two: schedule edge plans to start once interior is in place.
   SimTime all_done = interior_done;
@@ -112,8 +112,10 @@ Result<WaveApplyOutcome> Controller::ApplyPlanWave(
     runtime::ManagedDevice* dev = device;
     std::shared_ptr<const runtime::ReconfigPlan> plan = assignment->plan;
     auto on_done = on_done_for(device->id());
-    sim->Schedule(offset, [engine, dev, plan, on_done]() {
-      engine->ApplyShared(*dev, plan, on_done);
+    // The wave runs the simulator until every chain reports, so `owner`
+    // outlives this callback.
+    sim->Schedule(offset, [engine, dev, plan, on_done, owner]() {
+      engine->ApplyShared(*dev, plan, on_done, owner);
     });
     all_done = std::max(all_done, done_at);
   }
@@ -129,7 +131,8 @@ Result<WaveApplyOutcome> Controller::ApplyPlanWave(
 }
 
 Result<SimTime> Controller::ApplyPlansConsistently(
-    const std::unordered_map<DeviceId, runtime::ReconfigPlan>& plans) {
+    const std::unordered_map<DeviceId, runtime::ReconfigPlan>& plans,
+    std::string_view owner) {
   if (plans.empty()) return network_->simulator()->now();
   std::vector<WavePlanAssignment> wave;
   wave.reserve(plans.size());
@@ -138,7 +141,7 @@ Result<SimTime> Controller::ApplyPlansConsistently(
         id, std::make_shared<const runtime::ReconfigPlan>(plan)});
   }
   FLEXNET_ASSIGN_OR_RETURN(WaveApplyOutcome outcome,
-                           ApplyPlanWave(std::move(wave)));
+                           ApplyPlanWave(std::move(wave), owner));
   if (!outcome.failures.empty()) {
     std::string joined;
     for (const auto& [id, report] : outcome.failures) {
@@ -170,7 +173,7 @@ Result<DeployOutcome> Controller::DeployApp(
   compile_span.Annotate("plan_ops", std::to_string(compiled.TotalPlanOps()));
   compile_span.End();
   FLEXNET_ASSIGN_OR_RETURN(const SimTime ready,
-                           ApplyPlansConsistently(compiled.plans));
+                           ApplyPlansConsistently(compiled.plans, uri));
   deploy_span.Annotate("devices", std::to_string(slice.size()));
   deploy_span.EndAt(ready);
   AppRecord record;
@@ -206,13 +209,13 @@ Result<DeployOutcome> Controller::UpdateApp(const std::string& uri,
   const SimTime update_started = network_->simulator()->now();
   telemetry::ScopedSpan update_span(&metrics_->tracer(), update_started,
                                     "controller.update", uri);
-  compiler::IncrementalCompiler incremental(options_, metrics_);
+  compiler::IncrementalCompiler incremental(metrics_);
   FLEXNET_ASSIGN_OR_RETURN(
       compiler::IncrementalResult result,
       incremental.Recompile(it->second.program, new_program,
                             it->second.compiled, AllDevices()));
   FLEXNET_ASSIGN_OR_RETURN(const SimTime ready,
-                           ApplyPlansConsistently(result.plans));
+                           ApplyPlansConsistently(result.plans, uri));
   update_span.Annotate("structural_ops",
                        std::to_string(result.structural_ops));
   update_span.Annotate("entry_ops", std::to_string(result.entry_ops));
@@ -237,13 +240,12 @@ Status Controller::RetireApp(const std::string& uri) {
   }
   telemetry::ScopedSpan retire_span(&metrics_->tracer(), "controller.retire",
                                     uri);
-  const auto plans =
-      compiler::MakeRemovalPlans(it->second.program, it->second.compiled);
-  FLEXNET_RETURN_IF_ERROR([&]() -> Status {
-    auto r = ApplyPlansConsistently(plans);
-    if (!r.ok()) return r.error();
-    return OkStatus();
-  }());
+  // A retire is an update to the empty program.
+  FLEXNET_ASSIGN_OR_RETURN(
+      const auto plans,
+      compiler::ComputeDevicePlans(it->second.program, it->second.compiled,
+                                   {}, {}, AllDevices()));
+  FLEXNET_RETURN_IF_ERROR(ApplyPlansConsistently(plans, uri));
   retire_span.End();
   it->second.state = AppState::kRetired;
   apps_.erase(it);
@@ -269,61 +271,31 @@ Status Controller::MigrateApp(const std::string& uri, DeviceId from,
   migrate_span.Annotate("from", src->name());
   migrate_span.Annotate("to", dst->name());
 
-  // Build the per-element move: install on `to`, migrate state, remove
-  // from `from`.  Installation first so the destination can dual-apply.
-  runtime::ReconfigPlan install;
-  install.description = "migrate " + uri + " (install at " + dst->name() + ")";
-  runtime::ReconfigPlan remove;
-  remove.description = "migrate " + uri + " (remove at " + src->name() + ")";
+  // A migration is a placement-book change: every element on `from` moves
+  // to `to`.  The `to` plan applies first so the destination can
+  // dual-apply, then map state moves, then the `from` plan removes.
+  compiler::CompiledProgram moved = record.compiled;
   std::vector<std::string> moved_maps;
-  for (compiler::ElementPlacement& p : record.compiled.placements) {
+  bool any_moved = false;
+  for (compiler::ElementPlacement& p : moved.placements) {
     if (p.device != from) continue;
-    switch (p.kind) {
-      case compiler::ElementKind::kTable: {
-        const flexbpf::TableDecl* decl = record.program.FindTable(p.name);
-        if (decl == nullptr) return Internal("placement without declaration");
-        runtime::StepAddTable add;
-        add.decl = *decl;
-        install.steps.push_back(std::move(add));
-        remove.steps.push_back(runtime::StepRemoveTable{p.name});
-        break;
-      }
-      case compiler::ElementKind::kFunction: {
-        const flexbpf::FunctionDecl* decl =
-            record.program.FindFunction(p.name);
-        if (decl == nullptr) return Internal("placement without declaration");
-        runtime::StepAddFunction add;
-        add.fn = *decl;
-        install.steps.push_back(std::move(add));
-        remove.steps.push_back(runtime::StepRemoveFunction{p.name});
-        break;
-      }
-      case compiler::ElementKind::kMap: {
-        const flexbpf::MapDecl* decl = record.program.FindMap(p.name);
-        if (decl == nullptr) return Internal("placement without declaration");
-        runtime::StepAddMap add;
-        add.decl = *decl;
-        add.encoding = compiler::ResolveEncoding(decl->encoding,
-                                                 dst->device().arch());
-        install.steps.push_back(std::move(add));
-        remove.steps.push_back(runtime::StepRemoveMap{p.name});
-        moved_maps.push_back(p.name);
-        break;
-      }
-    }
+    if (p.kind == compiler::ElementKind::kMap) moved_maps.push_back(p.name);
     p.device = to;
     p.location = "migrated";
+    any_moved = true;
   }
-  if (install.steps.empty()) {
+  if (!any_moved) {
     return FailedPrecondition("app '" + uri + "' has no elements on device");
   }
-  std::unordered_map<DeviceId, runtime::ReconfigPlan> install_plans;
-  install_plans.emplace(to, std::move(install));
-  FLEXNET_RETURN_IF_ERROR([&]() -> Status {
-    auto r = ApplyPlansConsistently(install_plans);
-    if (!r.ok()) return r.error();
-    return OkStatus();
-  }());
+  FLEXNET_ASSIGN_OR_RETURN(
+      auto to_plans,
+      compiler::ComputeDevicePlans(record.program, record.compiled,
+                                   record.program, moved, AllDevices()));
+  std::unordered_map<DeviceId, runtime::ReconfigPlan> from_plans;
+  if (auto from_plan = to_plans.extract(from)) {
+    from_plans.insert(std::move(from_plan));
+  }
+  FLEXNET_RETURN_IF_ERROR(ApplyPlansConsistently(to_plans, uri));
   // Data-plane state migration per map (lossless; E6's protocol).
   {
     telemetry::ScopedSpan copy_span(&metrics_->tracer(), "state.copy_maps",
@@ -338,13 +310,8 @@ Status Controller::MigrateApp(const std::string& uri, DeviceId from,
       destination->Import(source->Export());
     }
   }
-  std::unordered_map<DeviceId, runtime::ReconfigPlan> remove_plans;
-  remove_plans.emplace(from, std::move(remove));
-  FLEXNET_RETURN_IF_ERROR([&]() -> Status {
-    auto r = ApplyPlansConsistently(remove_plans);
-    if (!r.ok()) return r.error();
-    return OkStatus();
-  }());
+  FLEXNET_RETURN_IF_ERROR(ApplyPlansConsistently(from_plans, uri));
+  record.compiled.placements = std::move(moved.placements);
   metrics_->Count("controller.migrations");
   metrics_->Count("controller.migrated_maps", moved_maps.size());
   metrics_->trace().Record(network_->simulator()->now(),

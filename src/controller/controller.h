@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -114,7 +115,10 @@ class Controller {
   // schedules reproduce run to run regardless of how the caller's map was
   // ordered.  Per-device failures are reported in the outcome (not folded
   // into one error) so the fleet layer can resume crashed suffixes.
-  Result<WaveApplyOutcome> ApplyPlanWave(std::vector<WavePlanAssignment> wave);
+  // `owner` is the app (URI) the wave acts for; it owns the parser states
+  // the plans add (runtime::ManagedDevice::ApplyStep).
+  Result<WaveApplyOutcome> ApplyPlanWave(std::vector<WavePlanAssignment> wave,
+                                         std::string_view owner = {});
 
   // Forwards to the controller's RuntimeEngine: fleet chaos schedules
   // inject agent crashes/stalls into wave applies ("runtime.step").
@@ -129,7 +133,8 @@ class Controller {
   // wrapper over ApplyPlanWave: plans are sorted by device id, so apply
   // order is deterministic even though the input map is unordered.
   Result<SimTime> ApplyPlansConsistently(
-      const std::unordered_map<DeviceId, runtime::ReconfigPlan>& plans);
+      const std::unordered_map<DeviceId, runtime::ReconfigPlan>& plans,
+      std::string_view owner);
 
   net::Network* network_;
   compiler::CompileOptions options_;

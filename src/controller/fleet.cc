@@ -224,18 +224,31 @@ Result<RolloutReport> FleetManager::Rollout(const std::string& uri,
 
       // Plan push + ack per device.
       report.control_messages += 2 * stat.devices;
-      FLEXNET_ASSIGN_OR_RETURN(WaveApplyOutcome outcome,
-                               controller_->ApplyPlanWave(std::move(assignments)));
+      FLEXNET_ASSIGN_OR_RETURN(
+          WaveApplyOutcome outcome,
+          controller_->ApplyPlanWave(std::move(assignments), uri));
 
-      // Crash recovery: a failed device re-applies from the first step
-      // whose effects are not on the device.  ApplyReport::ResumePoint()
-      // is the first *failed* step, not the applied-step count — a
-      // semantic failure (capacity exhaustion) does not stop the chain,
-      // so later steps may have applied and the count is not a prefix.
-      // Retried until it converges or its budget runs out.
+      // Crash recovery: a crashed device re-applies from the first step
+      // whose effects are not on the device (ApplyReport::ResumePoint()),
+      // until it converges or its budget runs out.  A step that failed on
+      // its own (AlreadyExists, out of capacity) fails the device at once:
+      // the failure is deterministic, and the engine runs past it, so a
+      // retry would re-apply later steps that already landed.
+      const auto fail_device = [&report](DeviceId id,
+                                         const runtime::ApplyReport& rep) {
+        ++report.device_failures;
+        report.errors.push_back(
+            "device " + std::to_string(id.value()) + ": " +
+            (rep.errors.empty() ? std::string("plan failed")
+                                : rep.errors.front()));
+      };
       std::unordered_map<DeviceId, std::pair<std::size_t, std::size_t>>
           pending;  // device -> {resume step index, attempts}
       for (const auto& [id, rep] : outcome.failures) {
+        if (!rep.crashed) {
+          fail_device(id, rep);
+          continue;
+        }
         pending.emplace(id, std::make_pair(rep.ResumePoint(), std::size_t{0}));
       }
       while (!pending.empty()) {
@@ -271,17 +284,20 @@ Result<RolloutReport> FleetManager::Rollout(const std::string& uri,
         metrics->Count("fleet.device_retries", retry_wave.size());
         FLEXNET_ASSIGN_OR_RETURN(
             WaveApplyOutcome retry_outcome,
-            controller_->ApplyPlanWave(std::move(retry_wave)));
-        std::unordered_map<DeviceId, std::size_t> failed_again;
+            controller_->ApplyPlanWave(std::move(retry_wave), uri));
+        std::unordered_map<DeviceId, const runtime::ApplyReport*> failed_again;
         for (const auto& [id, rep] : retry_outcome.failures) {
-          failed_again.emplace(id, rep.ResumePoint());
+          failed_again.emplace(id, &rep);
         }
         for (auto it = pending.begin(); it != pending.end();) {
           const auto f = failed_again.find(it->first);
           if (f == failed_again.end()) {
             it = pending.erase(it);  // converged this round
+          } else if (!f->second->crashed) {
+            fail_device(it->first, *f->second);
+            it = pending.erase(it);
           } else {
-            it->second.first += f->second;  // advance the resume point
+            it->second.first += f->second->ResumePoint();  // advance
             ++it;
           }
         }

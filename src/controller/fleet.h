@@ -78,7 +78,9 @@ struct RolloutReport {
   std::size_t plans_reused = 0;    // cache hits
   std::uint64_t control_messages = 0;
   std::size_t stalled_waves = 0;
-  std::size_t device_failures = 0;  // devices that exhausted their retries
+  // Devices whose plan failed on a step, or that crashed and exhausted
+  // their retries.
+  std::size_t device_failures = 0;
   std::vector<std::string> errors;  // detail for device_failures
   std::vector<WaveStat> wave_stats;
   SimTime started = 0;

@@ -32,6 +32,7 @@ struct ApplyChain {
   std::shared_ptr<ApplyReport> report;
   telemetry::SpanId plan_span;
   RuntimeEngine::DoneFn done;
+  std::string_view owner;  // outlives the chain (RuntimeEngine::ApplyShared)
 
   void Finish(SimTime at) {
     report->finished = at;
@@ -72,7 +73,7 @@ struct ApplyChain {
 
   void ApplyStep(SimDuration cost, SimTime step_begin) {
     const ReconfigStep& step = plan->steps[next];
-    const Status status = device->ApplyStep(step);
+    const Status status = device->ApplyStep(step, owner);
     metrics->Observe("runtime.step_apply_ns", static_cast<double>(cost));
     std::string label = device->name() + ": " + ToText(step);
     metrics->trace().Record(sim->now(), "reconfig.step", label,
@@ -102,7 +103,10 @@ struct ApplyChain {
                                 std::to_string(next));
     metrics->tracer().Annotate(plan_span, "crash_at_step",
                                std::to_string(next));
-    if (report->steps_failed == 0) report->first_failed_step = next;
+    if (report->steps_failed == 0) {
+      report->first_failed_step = next;
+      report->crashed = true;
+    }
     for (std::size_t i = next; i < plan->steps.size(); ++i) {
       ++report->steps_failed;
       metrics->Count("runtime.steps_failed");
@@ -124,7 +128,7 @@ SimTime RuntimeEngine::ApplyRuntime(ManagedDevice& dev, ReconfigPlan plan,
 
 SimTime RuntimeEngine::ApplyShared(ManagedDevice& dev,
                                    std::shared_ptr<const ReconfigPlan> plan,
-                                   DoneFn done) {
+                                   DoneFn done, std::string_view owner) {
   auto report = std::make_shared<ApplyReport>();
   report->started = sim_->now();
   // One span per plan (parented under the caller's open scope, e.g.
@@ -144,7 +148,7 @@ SimTime RuntimeEngine::ApplyShared(ManagedDevice& dev,
 
   auto chain = std::make_shared<ApplyChain>(
       ApplyChain{&dev, sim_, metrics_, injector_, std::move(plan), 0, report,
-                 plan_span, std::move(done)});
+                 plan_span, std::move(done), owner});
   chain->ScheduleNext(chain);
   return report->started + predicted;
 }

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault.h"
@@ -38,6 +39,13 @@ struct ApplyReport {
   // capacity exhaustion) does not stop the chain — later steps may have
   // applied, so steps_applied alone is a count, not a resume prefix.
   std::size_t first_failed_step = SIZE_MAX;
+  // True when the plan failed only because the reconfig agent crashed:
+  // every step from first_failed_step on failed with the crash and none
+  // of them landed, so re-applying that suffix can converge.  False when
+  // a step failed on its own (AlreadyExists, out of capacity): the
+  // failure is deterministic and a retry would only re-apply later steps
+  // that already landed.
+  bool crashed = false;
   std::vector<std::string> errors;
   SimDuration duration() const noexcept { return finished - started; }
   bool ok() const noexcept { return steps_failed == 0; }
@@ -81,9 +89,12 @@ class RuntimeEngine {
   // apply chain holds the same shared object — O(1000) devices, one plan
   // allocation instead of one deep copy each.  Execution semantics are
   // identical to ApplyRuntime (which now delegates here).
+  // `owner` is the app the plan acts for (ManagedDevice::ApplyStep); it
+  // rides the apply call, not the shareable plan, and must outlive the
+  // chain (until `done` fires).
   SimTime ApplyShared(ManagedDevice& dev,
                       std::shared_ptr<const ReconfigPlan> plan,
-                      DoneFn done = nullptr);
+                      DoneFn done = nullptr, std::string_view owner = {});
 
   // Drain baseline: device offline for the whole reflash window.
   SimTime ApplyDrain(ManagedDevice& dev, ReconfigPlan plan,

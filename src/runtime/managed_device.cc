@@ -106,6 +106,75 @@ Status ManagedDevice::RemoveFunction(const StepRemoveFunction& step) {
   return device_->ReleaseTable("fn:" + step.name);
 }
 
+Status ManagedDevice::AddParserState(const StepAddParserState& step,
+                                     std::string_view owner) {
+  dataplane::ParseGraph& parser = device_->pipeline().parser();
+  const std::string& name = step.state.name;
+  if (!owner.empty() && parser.HasState(name)) {
+    // Shared: the state must already be wired the way this owner needs.
+    bool wired = step.from.empty();
+    if (const dataplane::ParseState* from = parser.FindState(step.from)) {
+      for (const dataplane::ParseTransition& t : from->transitions) {
+        wired |= !t.is_default && t.select_value == step.select_value &&
+                 t.next_state == name;
+      }
+    }
+    if (!wired) {
+      return AlreadyExists("parse state '" + name +
+                           "' exists with different wiring");
+    }
+    if (!parser_owners_[name].apps.emplace(owner).second) {
+      return AlreadyExists("parse state '" + name + "' already owned by '" +
+                           std::string(owner) + "'");
+    }
+    return OkStatus();
+  }
+  FLEXNET_RETURN_IF_ERROR(parser.AddState(step.state));
+  if (!step.from.empty()) {
+    const Status wired =
+        parser.AddTransition(step.from, step.select_value, name);
+    if (!wired.ok()) {
+      (void)parser.RemoveState(name);
+      return wired;
+    }
+  }
+  if (!owner.empty()) {
+    parser_owners_[name] = ParserStateOwners{{std::string(owner)}, true};
+  }
+  return OkStatus();
+}
+
+Status ManagedDevice::RemoveParserState(const StepRemoveParserState& step,
+                                        std::string_view owner) {
+  const auto it = parser_owners_.find(step.name);
+  if (!owner.empty()) {
+    if (it == parser_owners_.end() ||
+        it->second.apps.erase(std::string(owner)) == 0) {
+      return NotFound("parse state '" + step.name + "' not owned by '" +
+                      std::string(owner) + "'");
+    }
+    if (!it->second.apps.empty()) return OkStatus();  // others still need it
+    const bool installed = it->second.installed;
+    parser_owners_.erase(it);
+    if (!installed) return OkStatus();  // the standard graph's own state
+  } else if (it != parser_owners_.end()) {
+    parser_owners_.erase(it);
+  }
+  // Unwire inbound edges first: RemoveState alone leaves the chaining
+  // transition behind (as a dangling accept), which a retired device's
+  // state fingerprint would see as residue.
+  dataplane::ParseGraph& parser = device_->pipeline().parser();
+  parser.RemoveTransitionsTo(step.name);
+  return parser.RemoveState(step.name);
+}
+
+const ManagedDevice::ParserStateOwners* ManagedDevice::FindParserStateOwners(
+    const std::string& state) const noexcept {
+  if (parser_owners_.empty()) return nullptr;  // the common, header-free case
+  const auto it = parser_owners_.find(state);
+  return it == parser_owners_.end() ? nullptr : &it->second;
+}
+
 std::size_t ManagedDevice::compiled_function_count() const noexcept {
   return static_cast<std::size_t>(
       std::count_if(compiled_.begin(), compiled_.end(),
@@ -137,7 +206,8 @@ void ManagedDevice::PublishMetrics(telemetry::MetricsRegistry& registry) const {
   registry.Set("flexbpf_source_instrs", static_cast<double>(src));
 }
 
-Status ManagedDevice::ApplyStep(const ReconfigStep& step) {
+Status ManagedDevice::ApplyStep(const ReconfigStep& step,
+                                std::string_view owner) {
   Status status = OkStatus();
   if (const auto* s = std::get_if<StepAddTable>(&step)) {
     status = AddTable(*s);
@@ -164,19 +234,9 @@ Status ManagedDevice::ApplyStep(const ReconfigStep& step) {
     status = maps_.Remove(s->name);
     if (status.ok()) (void)device_->ReleaseTable("map:" + s->name);
   } else if (const auto* s = std::get_if<StepAddParserState>(&step)) {
-    dataplane::ParseGraph& parser = device_->pipeline().parser();
-    status = parser.AddState(s->state);
-    if (status.ok() && !s->from.empty()) {
-      status = parser.AddTransition(s->from, s->select_value, s->state.name);
-      if (!status.ok()) (void)parser.RemoveState(s->state.name);
-    }
+    status = AddParserState(*s, owner);
   } else if (const auto* s = std::get_if<StepRemoveParserState>(&step)) {
-    // Unwire inbound edges first: RemoveState alone leaves the chaining
-    // transition behind (as a dangling accept), which a retired device's
-    // state fingerprint would see as residue.
-    dataplane::ParseGraph& parser = device_->pipeline().parser();
-    parser.RemoveTransitionsTo(s->name);
-    status = parser.RemoveState(s->name);
+    status = RemoveParserState(*s, owner);
   } else if (const auto* s = std::get_if<StepAddEntry>(&step)) {
     dataplane::MatchActionTable* table =
         device_->pipeline().FindTable(s->table);

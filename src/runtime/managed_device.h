@@ -14,8 +14,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "arch/device.h"
@@ -48,8 +51,26 @@ class ManagedDevice {
 
   // --- Program mutation surface (used by RuntimeEngine and the compiler's
   // full-install path).  Each call is one atomic program change. ---
-  Status ApplyStep(const ReconfigStep& step);
+  //
+  // `owner` names the app (its URI) a parser-state step acts for; apps
+  // that share a header share its state.  The first owner installs the
+  // state, and an identically wired state that already exists just gains
+  // the owner (a differently wired one is an error).  The last owner to
+  // leave unwires and removes it; a state no owner installed (the
+  // standard graph) stays.  Without an owner a parser-state step adds or
+  // removes the state outright.
+  Status ApplyStep(const ReconfigStep& step, std::string_view owner = {});
   Status ApplyAll(const ReconfigPlan& plan);  // immediate, no timing model
+
+  // The apps (sorted) that require a parser state, and whether one of them
+  // installed it: the last owner to leave removes only an installed state.
+  struct ParserStateOwners {
+    std::set<std::string> apps;
+    bool installed = false;
+  };
+  // nullptr when no owner holds `state`.
+  const ParserStateOwners* FindParserStateOwners(
+      const std::string& state) const noexcept;
 
   const std::vector<flexbpf::FunctionDecl>& functions() const noexcept {
     return functions_;
@@ -104,6 +125,9 @@ class ManagedDevice {
   Status RemoveTable(const StepRemoveTable& step);
   Status AddFunction(const StepAddFunction& step);
   Status RemoveFunction(const StepRemoveFunction& step);
+  Status AddParserState(const StepAddParserState& step, std::string_view owner);
+  Status RemoveParserState(const StepRemoveParserState& step,
+                           std::string_view owner);
 
   std::unique_ptr<arch::Device> device_;
   state::MapSet maps_;
@@ -115,6 +139,8 @@ class ManagedDevice {
   std::uint64_t compiled_runs_ = 0;
   std::uint64_t interp_runs_ = 0;
   std::uint64_t compile_ns_total_ = 0;  // wall ns, mutated under ApplyStep
+  // Last, so the members the packet path reads keep their offsets.
+  std::unordered_map<std::string, ParserStateOwners> parser_owners_;
 };
 
 }  // namespace flexnet::runtime

@@ -7,6 +7,7 @@
 #include "arch/rmt.h"
 #include "arch/tile.h"
 #include "compiler/compile.h"
+#include "compiler/incremental.h"
 #include "flexbpf/builder.h"
 
 namespace flexnet::compiler {
@@ -311,9 +312,10 @@ TEST_F(CompilerTest, RemovalPlansMirrorInstall) {
   const auto r = c.Compile(program, slice_);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(sw->ApplyAll(r->plans.at(sw->id())).ok());
-  const auto removal = MakeRemovalPlans(program, r.value());
-  ASSERT_EQ(removal.size(), 1u);
-  ASSERT_TRUE(sw->ApplyAll(removal.at(sw->id())).ok());
+  const auto removal = ComputeDevicePlans(program, r.value(), {}, {}, slice_);
+  ASSERT_TRUE(removal.ok()) << removal.error().ToText();
+  ASSERT_EQ(removal->size(), 1u);
+  ASSERT_TRUE(sw->ApplyAll(removal->at(sw->id())).ok());
   EXPECT_FALSE(sw->HasTable("fw.acl"));
   EXPECT_FALSE(sw->HasFunction("fw.conntrack"));
   EXPECT_EQ(sw->maps().Find("fw.conn"), nullptr);
